@@ -8,7 +8,8 @@
 //! keep the cold tenant's queue-wait p99 within 10× of its unloaded
 //! baseline while the hot backlog is still draining. Without the gate
 //! (or with a single shared lane), the cold probe would queue behind
-//! the entire hot flood.
+//! the entire hot flood. The gate meters `(tenant, shard)` work units,
+//! so both lanes' scans share the worker pool while it arbitrates.
 //!
 //! Three rows: the cold tenant served alone (the unloaded baseline),
 //! the hot tenant under its own self-inflicted flood (the contrast —
@@ -21,7 +22,7 @@
 //! the run itself, not just the table diff.
 
 use crate::{Scale, Table};
-use sc_service::{InterleaveMode, QuerySpec, ServiceBuilder};
+use sc_service::{QuerySpec, ServiceBuilder};
 use sc_setsystem::gen;
 use std::time::Duration;
 
@@ -64,13 +65,8 @@ pub fn tenants(scale: Scale) -> Table {
 
     // Unloaded baseline: the cold repository served alone, probed one
     // query at a time from a standing start.
-    // E23 pins epoch-granular granting: it is the baseline the PR 10
-    // shard-interleaving experiment (E25) measures against, so its
-    // numbers must keep epoch semantics even after the serve default
-    // moved to `InterleaveMode::Shard`.
     let solo = ServiceBuilder::new()
         .tenant("cold", cold_inst.system.clone())
-        .interleave(InterleaveMode::Epoch)
         .build();
     let (mut unloaded, _) = solo.serve(|handle| {
         (0..probes as u64)
@@ -102,7 +98,6 @@ pub fn tenants(scale: Scale) -> Table {
     let service = ServiceBuilder::new()
         .tenant_with_quota("hot", hot_inst.system, hot_quota)
         .tenant("cold", cold_inst.system)
-        .interleave(InterleaveMode::Epoch)
         .build();
     let ((mut hot_waits, mut cold_waits, hot_done_at_first_cold), metrics) =
         service.serve(|handle| {

@@ -175,23 +175,14 @@ impl<'rx> Intake<'rx> {
         }
     }
 
-    /// Pulls the next query, blocking until `deadline` at most — the
-    /// admission-window wait. `None` on timeout, channel close, or a
-    /// captured reload (the caller distinguishes timeout by the clock).
-    pub fn pull_deadline(&mut self, deadline: Instant) -> Option<QuerySubmission> {
-        if let Some(q) = self.backlog.pop_front() {
-            return Some(q);
-        }
-        self.pull_channel_deadline(deadline)
-    }
-
-    /// Like [`pull_deadline`](Intake::pull_deadline) but watching the
-    /// *channel only* — the backlog is left untouched. The splice's
-    /// window wait uses this: backlog entries were already examined
-    /// and deferred (no slot, no leader), so re-pulling them would
-    /// cycle them through the splice forever without ever reaching
-    /// the deadline check; only a genuinely new arrival can release
-    /// the window.
+    /// Pulls the next query from the *channel only*, blocking until
+    /// `deadline` at most — the admission-window wait. `None` on
+    /// timeout, channel close, or a captured reload (the caller
+    /// distinguishes timeout by the clock). The backlog is left
+    /// untouched: its entries were already examined and deferred (no
+    /// slot, no leader), so re-pulling them would cycle them through
+    /// the splice forever without ever reaching the deadline check;
+    /// only a genuinely new arrival can release the window.
     pub fn pull_channel_deadline(&mut self, deadline: Instant) -> Option<QuerySubmission> {
         if !self.draining_rx() {
             return None;

@@ -15,24 +15,15 @@
 //! longer waits out an epoch (or, under a blocking window, the whole
 //! group) to start.
 //!
-//! Two admission modes share this module
-//! ([`ServiceConfig::admission`](crate::ServiceConfig)):
-//!
-//! * [`AdmissionMode::Aligned`](crate::AdmissionMode) (the default) —
-//!   **non-blocking accept**: arrivals queue as
-//!   [`PendingArrival`]s while the fan-out runs
-//!   ([`execution`](crate::execution) drains the channel concurrently)
-//!   and [`splice_pending`] splices them at the scan boundary, feeding
-//!   each joiner the scan's items through the zero-copy replay before
-//!   `end_scan` runs. The admission window, when configured, holds the
-//!   boundary of a lone fresh head's first scan open — but its timer
-//!   runs from the scan's *start*, so the fan-out already burned most
-//!   of it and the epoch thread idles only for the remainder.
-//! * [`AdmissionMode::Boundary`](crate::AdmissionMode) — the PR 4
-//!   behaviour, kept as the measured baseline (experiment E20): a
-//!   blocking drain *before* the fan-out, which holds the epoch thread
-//!   idle for the whole window and makes later arrivals wait for the
-//!   next epoch.
+//! Admission is **non-blocking**: arrivals queue as [`PendingArrival`]s
+//! while the fan-out runs ([`execution`](crate::execution) drains the
+//! channel concurrently) and [`splice_pending`] splices them at the
+//! scan boundary, feeding each joiner the scan's items through the
+//! zero-copy replay before `end_scan` runs. The admission window, when
+//! configured, holds the boundary of a lone fresh head's first scan
+//! open — but its timer runs from the scan's *start*, so the fan-out
+//! already burned most of it and the epoch thread idles only for the
+//! remainder.
 
 use crate::admission::{Admitted, Inflight, Intake, PendingArrival};
 use crate::metrics::ServiceMetrics;
@@ -64,8 +55,7 @@ impl<'a> EpochState<'a> {
 }
 
 /// Splices the arrivals a scan's fan-out drained into that scan, at its
-/// boundary (after the fan-out, before `end_scan`) — the aligned-mode
-/// half of mid-stream admission.
+/// boundary (after the fan-out, before `end_scan`).
 ///
 /// Each arrival is disposed of in order: cache hits answer immediately,
 /// duplicates coalesce onto their in-flight leader, and a fresh job —
@@ -197,80 +187,6 @@ pub(crate) fn splice_pending<'g>(
                     break;
                 }
             }
-        }
-    }
-    parked
-}
-
-/// The PR 4 admission path, kept verbatim as
-/// [`AdmissionMode::Boundary`](crate::AdmissionMode) — the baseline
-/// experiment E20 measures the aligned path against: a *blocking* drain
-/// before the fan-out. Queries that arrive while the drain holds the
-/// epoch thread join the scan (they ride the worker fan-out like
-/// original participants); the admission window, if armed, blocks the
-/// thread for up to its full duration before any fan-out work starts,
-/// and everything arriving after the drain waits for the next epoch.
-/// Returns the jobs that had nothing to scan, to be parked until after
-/// `end_scan`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn blocking_drain<'g>(
-    service: &Service,
-    gen: &RepositoryGeneration,
-    root: &SetStream<'g>,
-    ledger: &ScanLedger,
-    state: &mut EpochState<'g>,
-    intake: &mut Intake<'_>,
-    window: Option<Instant>,
-    metrics: &mut ServiceMetrics,
-) -> Vec<(usize, Inflight<'g>)> {
-    let mut parked = Vec::new();
-    let mut deadline = window;
-    while state.inflight.len() + parked.len() < gen.tenant.quota() {
-        let sub = match deadline {
-            Some(d) => match intake.pull_deadline(d) {
-                Some(sub) => sub,
-                None => {
-                    if !intake.draining_rx() && intake.backlog.is_empty() {
-                        break;
-                    }
-                    if Instant::now() >= d {
-                        deadline = None;
-                    }
-                    continue;
-                }
-            },
-            None => match intake.pull_nonblocking() {
-                Some(sub) => sub,
-                None => break,
-            },
-        };
-        let now = Instant::now();
-        let mut fl =
-            match service.admit_or_answer(gen, sub, root, &mut state.inflight, metrics, now) {
-                Admitted::Job(fl) => fl,
-                Admitted::Coalesced => {
-                    deadline = None;
-                    continue;
-                }
-                Admitted::Answered => continue,
-            };
-        if fl.job.wants_scan() {
-            fl.job.begin_scan();
-            let scan = ledger.join(root, &fl.job.participants());
-            metrics.mid_stream_admissions += 1;
-            tel().mid_stream_admissions.incr();
-            sc_telemetry::event(
-                EventKind::Admitted,
-                fl.id,
-                gen.id,
-                scan as u64,
-                state.group_pass as u32,
-            );
-            state.inflight.push((fl.id as usize, fl));
-            // The burst's head joined; take the rest without blocking.
-            deadline = None;
-        } else {
-            parked.push((fl.id as usize, fl));
         }
     }
     parked

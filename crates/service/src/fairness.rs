@@ -1,45 +1,33 @@
 //! Cross-tenant admission fairness: a deficit-round-robin gate over
-//! scan work, at epoch or shard granularity.
+//! `(tenant, shard)` work units.
 //!
 //! Every tenant runs its own scheduler lane (its own generation loop,
 //! intake, and epoch pipeline), but the lanes share one machine — so a
 //! hot tenant flooding the service with heavy queries could starve a
 //! cold one of CPU even though their queues are separate. The
-//! [`FairGate`] is the arbiter, and it meters lanes in one of two
-//! [`GrantUnit`] modes:
+//! [`FairGate`] is the arbiter: a DRR-arbitrated counting semaphore
+//! over `(tenant, shard)` work units. A lane
+//! [`enter`](FairGate::enter)s the execution stage (no exclusivity;
+//! every lane with an in-flight epoch is *live* at once) and each
+//! worker takes an [`acquire_unit`](FairGate::acquire_unit) RAII hold
+//! per shard it absorbs, bounded by `capacity` concurrent units
+//! machine-wide. The ring arbitration funds each lane's turn with
+//! `quantum` units; a turn cut short by capacity resumes where it left
+//! off, so a lane bursts up to `quantum` units per ring visit. A box
+//! serving K narrow tenants saturates its cores instead of running one
+//! narrow epoch at a time.
 //!
-//! * **Epoch** (`FairGate::new`): a lane must hold the gate exclusively
-//!   to run a scan epoch (pipeline stages 2 + 3, the part that actually
-//!   burns CPU and walks the repository). Deficit round robin decides
-//!   the grant: each waiting lane banks `quantum` credit per
-//!   arbitration round, an epoch costs its inflight job count, and the
-//!   grant goes to the first lane in ring order whose bank covers its
-//!   cost. Exactly one epoch runs at a time — simple, and a strict
-//!   starvation bound — but a narrow epoch leaves the rest of the
-//!   worker pool idle.
-//! * **Shard** (`FairGate::sharded`): the gate becomes a DRR-arbitrated
-//!   counting semaphore over `(tenant, shard)` work units. A lane
-//!   [`enter`](FairGate::enter)s the execution stage (no exclusivity;
-//!   every lane with an in-flight epoch is *live* at once) and each
-//!   worker takes an [`acquire_unit`](FairGate::acquire_unit) RAII hold
-//!   per shard it absorbs, bounded by `capacity` concurrent units
-//!   machine-wide. The ring arbitration funds each lane's turn with
-//!   `quantum` units; a turn cut short by capacity resumes where it
-//!   left off, so a lane bursts up to `quantum` units per ring visit —
-//!   the same per-work fairness as epoch mode, at ~three orders finer
-//!   granularity. A box serving K narrow tenants saturates its cores
-//!   instead of running one narrow epoch at a time.
+//! **Idleness is not a savings account**: every arbitration zeroes the
+//! bank of *every* lane with nothing waiting — including lanes the ring
+//! walk never reaches. A lane that sheds its whole queue (quota-full
+//! `err msg=busy`) therefore re-arrives with an empty bank and pays
+//! full freight, instead of burst-starving its neighbours with credit
+//! banked before it went quiet.
 //!
-//! In both modes, **idleness is not a savings account**: every
-//! arbitration zeroes the bank of *every* lane with nothing waiting —
-//! including lanes the ring walk never reaches. A lane that sheds its
-//! whole queue (quota-full `err msg=busy`) therefore re-arrives with an
-//! empty bank and pays full freight, instead of burst-starving its
-//! neighbours with credit banked before it went quiet.
-//!
-//! When only one lane is live, shard mode skips the arbiter entirely
-//! (a single atomic read per unit — the single-tenant fast path), so a
-//! solo service pays no gate overhead at all.
+//! When only one lane is live, the gate skips the arbiter entirely (a
+//! single atomic read per unit — the single-tenant fast path), so a
+//! solo service — and [`Service::run_batch`](crate::Service::run_batch),
+//! which runs as one lane on a one-lane gate — pays no gate overhead.
 //!
 //! Everything *outside* the epoch runs ungated: stage-1 admission,
 //! cache hits, retirement replies, and the idle blocking wait on the
@@ -51,34 +39,18 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// The granularity at which the gate arbitrates lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum GrantUnit {
-    /// One grant = one whole scan epoch, held exclusively.
-    Epoch,
-    /// One grant = one `(tenant, shard)` work unit; many lanes run
-    /// concurrently under a machine-wide unit capacity.
-    Shard,
-}
-
 #[derive(Debug)]
 struct GateInner {
-    /// Epoch mode: the lane currently holding the gate.
-    holder: Option<usize>,
-    /// Epoch mode: per-lane epoch cost while waiting for the gate;
-    /// `None` when the lane is not waiting.
-    pending: Vec<Option<u64>>,
-    /// Shard mode: units currently held via the arbitrated slow path.
+    /// Units currently held via the arbitrated slow path.
     in_use: u64,
-    /// Shard mode: per-lane workers blocked waiting for a unit grant.
+    /// Per-lane workers blocked waiting for a unit grant.
     waiting: Vec<u64>,
-    /// Shard mode: per-lane grants issued but not yet picked up by a
-    /// waiting worker.
+    /// Per-lane grants issued but not yet picked up by a waiting
+    /// worker.
     granted: Vec<u64>,
-    /// Per-lane banked credit (deficit-round-robin state). In epoch
-    /// mode credit accrues per arbitration round; in shard mode it is
-    /// the unspent remainder of the lane's current `quantum`-unit
-    /// turn. Zeroed for every idle lane on every arbitration.
+    /// Per-lane banked credit (deficit-round-robin state): the unspent
+    /// remainder of the lane's current `quantum`-unit turn. Zeroed for
+    /// every idle lane on every arbitration.
     deficit: Vec<u64>,
     /// Ring position the next arbitration round starts from.
     cursor: usize,
@@ -89,14 +61,10 @@ impl GateInner {
     /// with nothing waiting — visited by the ring walk or not. This is
     /// what stops a lane that shed its whole queue from returning with
     /// banked credit and burst-starving its neighbours.
-    fn forfeit_idle_banks(&mut self, unit: GrantUnit) {
-        for lane in 0..self.deficit.len() {
-            let idle = match unit {
-                GrantUnit::Epoch => self.pending[lane].is_none(),
-                GrantUnit::Shard => self.waiting[lane] == 0,
-            };
-            if idle {
-                self.deficit[lane] = 0;
+    fn forfeit_idle_banks(&mut self) {
+        for (deficit, &waiting) in self.deficit.iter_mut().zip(&self.waiting) {
+            if waiting == 0 {
+                *deficit = 0;
             }
         }
     }
@@ -107,12 +75,10 @@ impl GateInner {
 #[derive(Debug)]
 pub(crate) struct FairGate {
     quantum: u64,
-    unit: GrantUnit,
-    /// Shard mode: max concurrent units machine-wide (the worker
-    /// budget). Unused in epoch mode.
+    /// Max concurrent units machine-wide (the worker budget).
     capacity: u64,
-    /// Lanes currently inside the execution stage (shard mode). Read
-    /// without the lock on the unit fast path.
+    /// Lanes currently inside the execution stage. Read without the
+    /// lock on the unit fast path.
     engaged: AtomicUsize,
     /// Units that took the arbitrated slow path — the witness that the
     /// single-live-lane fast path really skips the arbiter.
@@ -121,23 +87,9 @@ pub(crate) struct FairGate {
     cv: Condvar,
 }
 
-/// RAII hold on the gate for one epoch (epoch mode): released on drop,
-/// so a panicking epoch frees the other lanes instead of wedging the
-/// scope join.
-pub(crate) struct GateHold<'g> {
-    gate: &'g FairGate,
-    lane: usize,
-}
-
-impl Drop for GateHold<'_> {
-    fn drop(&mut self) {
-        self.gate.release(self.lane);
-    }
-}
-
-/// RAII mark that a lane is inside the execution stage (shard mode).
-/// Dropping it forfeits whatever remains of the lane's current turn —
-/// a lane cannot carry mid-turn credit from one epoch to the next.
+/// RAII mark that a lane is inside the execution stage. Dropping it
+/// forfeits whatever remains of the lane's current turn — a lane
+/// cannot carry mid-turn credit from one epoch to the next.
 pub(crate) struct LaneSession<'g> {
     gate: &'g FairGate,
     lane: usize,
@@ -149,9 +101,9 @@ impl Drop for LaneSession<'_> {
     }
 }
 
-/// RAII hold on one `(tenant, shard)` work unit (shard mode). `None`
-/// inside means the unit was granted on the single-live-lane fast path
-/// and there is nothing to give back.
+/// RAII hold on one `(tenant, shard)` work unit. `None` inside means
+/// the unit was granted on the single-live-lane fast path and there is
+/// nothing to give back.
 pub(crate) struct UnitHold<'g> {
     gate: Option<&'g FairGate>,
 }
@@ -165,33 +117,17 @@ impl Drop for UnitHold<'_> {
 }
 
 impl FairGate {
-    /// An epoch-granular gate over `lanes` tenant lanes granting
-    /// `quantum` credit per arbitration round. A larger quantum
-    /// approaches epoch-count round robin (one visit funds one full
-    /// epoch); a smaller one makes a heavy epoch wait out
-    /// proportionally more light ones.
-    pub fn new(lanes: usize, quantum: u64) -> Self {
-        Self::with_unit(lanes, quantum, GrantUnit::Epoch, u64::MAX)
-    }
-
-    /// A shard-granular gate: up to `capacity` concurrent `(tenant,
-    /// shard)` units machine-wide, arbitrated by DRR in turns of
-    /// `quantum` units per lane per ring visit.
-    pub fn sharded(lanes: usize, quantum: u64, capacity: u64) -> Self {
-        Self::with_unit(lanes, quantum, GrantUnit::Shard, capacity.max(1))
-    }
-
-    fn with_unit(lanes: usize, quantum: u64, unit: GrantUnit, capacity: u64) -> Self {
+    /// A gate over `lanes` tenant lanes: up to `capacity` concurrent
+    /// `(tenant, shard)` units machine-wide, arbitrated by DRR in turns
+    /// of `quantum` units per lane per ring visit.
+    pub fn new(lanes: usize, quantum: u64, capacity: u64) -> Self {
         assert!(lanes > 0, "a gate needs at least one lane");
         Self {
             quantum: quantum.max(1),
-            unit,
-            capacity,
+            capacity: capacity.max(1),
             engaged: AtomicUsize::new(0),
             slow_units: AtomicU64::new(0),
             inner: Mutex::new(GateInner {
-                holder: None,
-                pending: vec![None; lanes],
                 in_use: 0,
                 waiting: vec![0; lanes],
                 granted: vec![0; lanes],
@@ -202,11 +138,6 @@ impl FairGate {
         }
     }
 
-    /// The granularity this gate arbitrates at.
-    pub fn unit(&self) -> GrantUnit {
-        self.unit
-    }
-
     /// Units granted via the arbitrated slow path since construction.
     /// Stays zero while at most one lane is ever live — the witness
     /// for the single-tenant fast path.
@@ -215,43 +146,19 @@ impl FairGate {
         self.slow_units.load(Ordering::Relaxed)
     }
 
-    /// Blocks until this lane holds the gate for one epoch of the given
-    /// cost (its inflight job count; clamped to at least 1). Returns an
-    /// RAII hold releasing the gate when dropped. Epoch mode only.
-    pub fn acquire(&self, lane: usize, cost: u64) -> GateHold<'_> {
-        debug_assert_eq!(self.unit, GrantUnit::Epoch);
-        let mut g = self.inner.lock().expect("gate poisoned");
-        g.pending[lane] = Some(cost.max(1));
-        loop {
-            if g.holder.is_none() {
-                Self::arbitrate(&mut g, self.quantum);
-                if g.holder.is_some() {
-                    // Someone won — them or us. Wake everyone so the
-                    // winner (if it is not this thread) observes it.
-                    self.cv.notify_all();
-                }
-            }
-            if g.holder == Some(lane) && g.pending[lane].is_none() {
-                return GateHold { gate: self, lane };
-            }
-            g = self.cv.wait(g).expect("gate poisoned");
-        }
-    }
-
-    /// Marks this lane live inside the execution stage (shard mode).
-    /// While exactly one lane is live, unit acquisition short-circuits
-    /// to a single atomic read. Dropping the session forfeits the
-    /// lane's remaining turn credit.
+    /// Marks this lane live inside the execution stage. While exactly
+    /// one lane is live, unit acquisition short-circuits to a single
+    /// atomic read. Dropping the session forfeits the lane's remaining
+    /// turn credit.
     pub fn enter(&self, lane: usize) -> LaneSession<'_> {
-        debug_assert_eq!(self.unit, GrantUnit::Shard);
         self.engaged.fetch_add(1, Ordering::SeqCst);
         LaneSession { gate: self, lane }
     }
 
     /// Blocks until this lane is granted one `(tenant, shard)` work
     /// unit; the unit is returned to the pool when the hold drops.
-    /// Shard mode only, called between [`enter`](FairGate::enter) and
-    /// the session's drop.
+    /// Called between [`enter`](FairGate::enter) and the session's
+    /// drop.
     ///
     /// Fast path: with at most one lane live there is nobody to be
     /// fair to, so the unit is granted on a single atomic read — no
@@ -260,7 +167,6 @@ impl FairGate {
     /// through unmetered, bounded by the in-flight worker count, and
     /// metering self-heals on the next unit.)
     pub fn acquire_unit(&self, lane: usize) -> UnitHold<'_> {
-        debug_assert_eq!(self.unit, GrantUnit::Shard);
         if self.engaged.load(Ordering::SeqCst) <= 1 {
             return UnitHold { gate: None };
         }
@@ -281,42 +187,15 @@ impl FairGate {
         }
     }
 
-    /// One deficit-round-robin arbitration (epoch mode): zero every
-    /// idle lane's bank, then walk the ring from the cursor, banking
-    /// `quantum` per waiting lane visited, until a lane's bank covers
-    /// its epoch cost. The walk always terminates — every full ring
-    /// adds `quantum` to each waiter's bank, and costs are finite.
-    /// No-op when nobody waits.
-    fn arbitrate(g: &mut GateInner, quantum: u64) {
-        debug_assert!(g.holder.is_none());
-        g.forfeit_idle_banks(GrantUnit::Epoch);
-        if g.pending.iter().all(Option::is_none) {
-            return;
-        }
-        loop {
-            let lane = g.cursor;
-            g.cursor = (g.cursor + 1) % g.pending.len();
-            if let Some(cost) = g.pending[lane] {
-                g.deficit[lane] = g.deficit[lane].saturating_add(quantum);
-                if g.deficit[lane] >= cost {
-                    g.deficit[lane] -= cost;
-                    g.pending[lane] = None;
-                    g.holder = Some(lane);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// One deficit-round-robin arbitration at shard granularity: while
-    /// capacity remains and workers wait, fund the cursor lane's turn
-    /// with `quantum` units (once per ring visit — `deficit` holds the
-    /// unspent remainder) and convert as much of it into grants as the
-    /// lane's waiters and the capacity allow. A turn cut short by
-    /// capacity keeps the cursor, so the lane resumes its turn on the
-    /// next release; a spent or emptied turn advances the ring.
+    /// One deficit-round-robin arbitration: while capacity remains and
+    /// workers wait, fund the cursor lane's turn with `quantum` units
+    /// (once per ring visit — `deficit` holds the unspent remainder)
+    /// and convert as much of it into grants as the lane's waiters and
+    /// the capacity allow. A turn cut short by capacity keeps the
+    /// cursor, so the lane resumes its turn on the next release; a
+    /// spent or emptied turn advances the ring.
     fn arbitrate_shard(g: &mut GateInner, quantum: u64, capacity: u64) {
-        g.forfeit_idle_banks(GrantUnit::Shard);
+        g.forfeit_idle_banks();
         while g.in_use < capacity && g.waiting.iter().any(|&w| w > 0) {
             let lane = g.cursor;
             if g.waiting[lane] == 0 {
@@ -346,13 +225,6 @@ impl FairGate {
             // else: capacity cut the turn short — keep the cursor so
             // the lane resumes its turn when a unit frees up.
         }
-    }
-
-    fn release(&self, lane: usize) {
-        let mut g = self.inner.lock().expect("gate poisoned");
-        debug_assert_eq!(g.holder, Some(lane), "release by the holder only");
-        g.holder = None;
-        self.cv.notify_all();
     }
 
     fn release_unit(&self) {
@@ -386,130 +258,48 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    #[test]
-    fn a_single_lane_always_gets_the_gate() {
-        let gate = FairGate::new(1, 4);
-        for _ in 0..100 {
-            let hold = gate.acquire(0, 64);
-            drop(hold);
-        }
-    }
-
-    #[test]
-    fn a_cold_lane_is_granted_within_one_hot_release() {
-        // Lane 0 hammers the gate with expensive epochs; lane 1 asks
-        // once. The DRR walk must grant lane 1 promptly rather than
-        // letting lane 0 re-acquire forever.
-        let gate = FairGate::new(2, 8);
-        let hot_epochs_before_cold = AtomicUsize::new(0);
-        let cold_done = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for _ in 0..200 {
-                    let hold = gate.acquire(0, 8);
-                    std::thread::sleep(std::time::Duration::from_micros(50));
-                    drop(hold);
-                    if cold_done.load(Ordering::SeqCst) == 0 {
-                        hot_epochs_before_cold.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-            });
-            s.spawn(|| {
-                // Let the hot lane win the gate first.
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                let hold = gate.acquire(1, 8);
-                drop(hold);
-                cold_done.store(1, Ordering::SeqCst);
-            });
-        });
-        // The cold lane's one epoch landed long before the hot lane's
-        // 200 finished (a generous bound: scheduling noise aside, it is
-        // granted within a handful of releases).
-        let before = hot_epochs_before_cold.load(Ordering::SeqCst);
-        assert!(
-            before < 190,
-            "cold lane starved: {before} hot epochs ran first"
-        );
-    }
-
-    #[test]
-    fn deficit_makes_heavy_epochs_pay_their_weight() {
-        // Directly exercise the arbitration walk: with quantum 1, a
-        // cost-3 epoch needs three ring rounds of banking while a
-        // cost-1 neighbour goes every round.
-        let gate = FairGate::new(2, 1);
-        {
-            let mut g = gate.inner.lock().unwrap();
-            g.pending[0] = Some(3);
-            g.pending[1] = Some(1);
-            FairGate::arbitrate(&mut g, 1);
-            // Lane 0 banked 1 (not enough); lane 1 banked 1 and won.
-            assert_eq!(g.holder, Some(1));
-            assert_eq!(g.deficit[0], 1);
-            g.holder = None;
-            g.pending[1] = Some(1);
-            FairGate::arbitrate(&mut g, 1);
-            assert_eq!(g.holder, Some(1), "lane 0 still short: 2 < 3");
-            g.holder = None;
-            g.pending[1] = Some(1);
-            FairGate::arbitrate(&mut g, 1);
-            assert_eq!(g.holder, Some(0), "third round funds the heavy epoch");
-            assert_eq!(g.deficit[0], 0, "the grant spent the bank");
-        }
-    }
-
-    #[test]
-    fn idle_lanes_bank_nothing() {
-        let gate = FairGate::new(3, 5);
-        {
-            let mut g = gate.inner.lock().unwrap();
-            g.deficit[1] = 40; // stale credit from an earlier burst
-            g.pending[0] = Some(1);
-            g.cursor = 1; // the walk visits the idle lane before granting
-            FairGate::arbitrate(&mut g, 5);
-            assert_eq!(g.holder, Some(0));
-            assert_eq!(g.deficit[1], 0, "idle visit reset the stale bank");
-        }
-    }
-
     /// Regression for burst starvation: a lane that sheds its whole
     /// queue must forfeit banked deficit even when the ring walk never
-    /// reaches it (the walk stops at the first grant, so "reset on
-    /// visit" alone left unvisited idle lanes with stale banks).
+    /// reaches it (the walk stops once capacity is spent, so "reset on
+    /// visit" alone left unvisited idle lanes with stale banks), and
+    /// when it returns it gets exactly one `quantum` turn.
     #[test]
     fn a_lane_shedding_its_queries_forfeits_banked_deficit() {
-        let gate = FairGate::new(3, 1);
+        let gate = FairGate::new(3, 3, 1);
         let mut g = gate.inner.lock().unwrap();
-        // Lane 2 banked credit while waiting, then shed everything
-        // (quota-full busy replies) before ever being granted.
+        // Lane 2 banked credit mid-turn, then shed everything
+        // (quota-full busy replies) before spending it.
         g.deficit[2] = 50;
-        g.pending[0] = Some(1);
-        g.cursor = 0; // grant lands at lane 0; lane 2 is never visited
-        FairGate::arbitrate(&mut g, 1);
-        assert_eq!(g.holder, Some(0));
+        g.waiting[0] = 1;
+        g.cursor = 0; // capacity runs out at lane 0; lane 2 is never visited
+        FairGate::arbitrate_shard(&mut g, 3, 1);
+        assert_eq!(g.granted[0], 1);
         assert_eq!(g.deficit[2], 0, "unvisited idle lane forfeits its bank");
-        // When lane 2 comes back with a heavy epoch it pays full
-        // freight: three rounds of banking, not an instant burst win.
-        g.holder = None;
-        g.pending[2] = Some(3);
-        g.cursor = 2; // each round's walk visits lane 2 first
-        for round in 1..=3 {
-            g.pending[1] = Some(1);
-            FairGate::arbitrate(&mut g, 1);
-            if round < 3 {
-                assert_eq!(g.holder, Some(1), "round {round}: lane 2 still short");
-                g.holder = None;
-            }
+        // The unit completes.
+        g.granted[0] = 0;
+        g.in_use -= 1;
+        // Lane 2 comes back contending with lane 1 and is funded at the
+        // normal DRR rate: one `quantum` turn, then lane 1's.
+        g.waiting[1] = 5;
+        g.waiting[2] = 5;
+        g.cursor = 2;
+        let mut grants = Vec::new();
+        for _ in 0..6 {
+            FairGate::arbitrate_shard(&mut g, 3, 1);
+            let lane = (0..3).find(|&l| g.granted[l] > 0).expect("a grant");
+            g.granted[lane] -= 1;
+            grants.push(lane);
+            g.in_use -= 1;
         }
-        assert_eq!(g.holder, Some(2), "lane 2 funded at the normal DRR rate");
+        assert_eq!(grants, vec![2, 2, 2, 1, 1, 1], "exactly one quantum turn");
     }
 
-    /// Shard mode, quantum 1, capacity 1: lanes alternate strictly,
+    /// Quantum 1, capacity 1: lanes alternate strictly,
     /// one unit per turn — the quantum can be smaller than a lane's
     /// appetite and the ring still shares by work.
     #[test]
     fn shard_units_alternate_under_unit_quantum() {
-        let gate = FairGate::sharded(2, 1, 1);
+        let gate = FairGate::new(2, 1, 1);
         let mut g = gate.inner.lock().unwrap();
         g.waiting[0] = 3;
         g.waiting[1] = 3;
@@ -525,12 +315,12 @@ mod tests {
         assert_eq!(g.in_use, 0);
     }
 
-    /// Shard mode: a turn cut short by capacity carries its unspent
+    /// A turn cut short by capacity carries its unspent
     /// credit across releases — the lane finishes its `quantum`-unit
     /// turn before the ring moves on.
     #[test]
     fn shard_deficit_carries_over_when_capacity_cuts_a_turn() {
-        let gate = FairGate::sharded(2, 3, 2);
+        let gate = FairGate::new(2, 3, 2);
         let mut g = gate.inner.lock().unwrap();
         g.waiting[0] = 5;
         g.waiting[1] = 5;
@@ -551,11 +341,11 @@ mod tests {
         assert_eq!(g.granted[1], 1, "lane 1's turn begins");
     }
 
-    /// Shard mode: a lane whose queue empties mid-turn forfeits the
+    /// A lane whose queue empties mid-turn forfeits the
     /// leftover credit instead of banking it for a later burst.
     #[test]
     fn a_lane_emptying_mid_grant_banks_nothing() {
-        let gate = FairGate::sharded(2, 4, 4);
+        let gate = FairGate::new(2, 4, 4);
         let mut g = gate.inner.lock().unwrap();
         g.waiting[0] = 2; // less than a full turn
         g.waiting[1] = 3;
@@ -572,7 +362,7 @@ mod tests {
     /// second live lane engages the arbiter.
     #[test]
     fn a_single_live_lane_skips_arbitration_entirely() {
-        let gate = FairGate::sharded(2, 4, 2);
+        let gate = FairGate::new(2, 4, 2);
         {
             let _session = gate.enter(0);
             for _ in 0..100 {
@@ -593,12 +383,12 @@ mod tests {
         }
     }
 
-    /// Shard mode end-to-end under real threads: two lanes hammer the
+    /// End-to-end under real threads: two lanes hammer the
     /// gate concurrently under a small capacity; both finish, and the
     /// semaphore books balance.
     #[test]
     fn shard_lanes_make_progress_under_contention() {
-        let gate = FairGate::sharded(2, 2, 2);
+        let gate = FairGate::new(2, 2, 2);
         let done = [AtomicUsize::new(0), AtomicUsize::new(0)];
         std::thread::scope(|s| {
             for lane in 0..2 {
@@ -626,7 +416,7 @@ mod tests {
     /// Leaving the execution stage forfeits the lane's unspent turn.
     #[test]
     fn leaving_a_shard_lane_forfeits_its_turn() {
-        let gate = FairGate::sharded(2, 8, 1);
+        let gate = FairGate::new(2, 8, 1);
         let session = gate.enter(0);
         gate.inner.lock().unwrap().deficit[0] = 5; // mid-turn leftovers
         drop(session);

@@ -25,11 +25,11 @@
 //! | stage | module | job |
 //! |---|---|---|
 //! | 1 admission | `admission` | intake from the submission channel (queries, `!reload`), outcome-cache probe, coalesce-or-build disposition, the deferred-work backlog |
-//! | 2 alignment | `alignment` | pass-indexed join planning: which queued query splices into which in-flight scan (pass-2 joins pass-2), the splice itself (ledger join + zero-copy replay), the admission window, and the PR 4 `Boundary` baseline |
-//! | 3 execution | `execution` | the sharded work-stealing fan-out ([`sc_stream::ShardedPass`] + [`sc_stream::FeedCursor`], or the shared [`sc_stream::InterleavedCursor`] under shard-granular gating) with the epoch thread concurrently draining arrivals (non-blocking accept) |
+//! | 2 alignment | `alignment` | pass-indexed join planning: which queued query splices into which in-flight scan (pass-2 joins pass-2), the splice itself (ledger join + zero-copy replay), the admission window |
+//! | 3 execution | `execution` | the sharded work-stealing fan-out ([`sc_stream::ShardedPass`] through the shared [`sc_stream::InterleavedCursor`], one gate unit per absorbed shard; a batch is one lane) with the epoch thread concurrently draining arrivals (non-blocking accept) |
 //! | 4 retirement | `retirement` | outcome construction (tenant- and generation-tagged), cache fill + eviction accounting, reply fan-out to the query and its coalesced followers |
 //! |  lifecycle | `tenants` | [`TenantRegistry`] / [`Tenant`] / [`RepositoryGeneration`]: named repositories, each a fingerprint-versioned generation chain behind its own hot swap, with per-tenant quotas and counters |
-//! |  fairness | `fairness` | the deficit-round-robin gate arbitrating tenant lanes' scan work — per `(tenant, shard)` unit by default ([`InterleaveMode::Shard`]), per exclusive epoch as the measured baseline — a hot tenant cannot starve a cold one |
+//! |  fairness | `fairness` | the deficit-round-robin gate arbitrating tenant lanes' scan work per `(tenant, shard)` unit — a hot tenant cannot starve a cold one |
 //!
 //! `service` orchestrates the stages (epoch loop, batch/serve entry
 //! points, the generation outer loop); `cache`, `metrics`, `query`,
@@ -40,19 +40,17 @@
 //!
 //! # Scale levers
 //!
-//! * **Pass-aligned, non-blocking mid-stream admission**
-//!   ([`AdmissionMode::Aligned`], the default) — a query arriving
-//!   while a scan is in flight is committed to that scan immediately
-//!   (the epoch thread drains arrivals *while the fan-out runs*) and
-//!   spliced at the scan boundary: its first logical pass aligns with
+//! * **Pass-aligned, non-blocking mid-stream admission** — a query
+//!   arriving while a scan is in flight is committed to that scan
+//!   immediately (the epoch thread drains arrivals *while the fan-out
+//!   runs*) and spliced at the scan boundary: its first logical pass aligns with
 //!   whatever pass the group's scan carries — pass-2 joins pass-2 —
 //!   [`sc_stream::ScanLedger::join`] logs the pass against the scan's
 //!   tag with no second physical walk, and the joiner observes the
 //!   items through the zero-copy replay. The admission window
 //!   ([`ServiceConfig::admission_window`]) overlaps the fan-out
-//!   instead of blocking the epoch thread up front; the blocking PR 4
-//!   path survives as [`AdmissionMode::Boundary`], the baseline
-//!   experiment E20 (`BENCH_admission.json`) measures against.
+//!   instead of blocking the epoch thread up front (experiment E20,
+//!   `BENCH_admission.json`).
 //! * **Multi-tenant serving** — one process hosts many *named*
 //!   repositories ([`TenantRegistry`], built through
 //!   [`ServiceBuilder`]): each tenant runs its own scheduler lane
@@ -60,9 +58,11 @@
 //!   sharing the worker pool and the outcome cache (partitioned by
 //!   tenant in the key). The protocol addresses tenants with
 //!   `!use <name>` per connection or `repo=<name>` per query, and a
-//!   deficit-round-robin gate over scan epochs (`fairness`) keeps a
-//!   hot tenant from starving a cold one — cold-tenant admission never
-//!   waits on hot-tenant scans at all, only execution is arbitrated.
+//!   deficit-round-robin gate over `(tenant, shard)` work units
+//!   (`fairness`) keeps a hot tenant from starving a cold one while
+//!   every granted lane's scan shares the worker pool — cold-tenant
+//!   admission never waits on hot-tenant scans at all, only execution
+//!   is arbitrated.
 //! * **Repository lifecycle** — every served repository is a
 //!   fingerprint-versioned generation ([`RepositoryGeneration`]):
 //!   [`ServiceHandle::reload`] (the `!reload <path>` protocol line)
@@ -141,8 +141,8 @@ pub use metrics::{LatencyHistogram, ServiceMetrics};
 pub use net::{NetConfig, NetStats};
 pub use query::{QueryOutcome, QuerySpec};
 pub use service::{
-    AdmissionMode, InterleaveMode, QueryTicket, ReloadTicket, Service, ServiceBuilder,
-    ServiceClosed, ServiceConfig, ServiceHandle, TrySubmitError,
+    QueryTicket, ReloadTicket, Service, ServiceBuilder, ServiceClosed, ServiceConfig,
+    ServiceHandle, TrySubmitError,
 };
 pub use tenants::{
     RepositoryGeneration, RepositoryStore, Tenant, TenantCounters, TenantMeta, TenantRegistry,

@@ -233,11 +233,9 @@ pub struct ServiceMetrics {
     /// that job's scans and CPU, and its retirement fans one reply out
     /// per follower.
     pub coalesced: usize,
-    /// `(tenant, shard)` work units absorbed through the shard-granular
-    /// interleaved fan-out
-    /// ([`InterleaveMode::Shard`](crate::InterleaveMode)). Zero under
-    /// epoch-granular gating and in batch runs, where a whole epoch is
-    /// one exclusive grant.
+    /// `(tenant, shard)` work units absorbed through the interleaved
+    /// fan-out: every scan's `jobs × shards`, in serve and batch runs
+    /// alike. Zero only when nothing was scanned (all cache hits).
     pub shard_grants: usize,
     /// Submission → admission wait, one observation per query.
     pub queue_wait: LatencyHistogram,

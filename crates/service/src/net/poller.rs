@@ -170,6 +170,11 @@ struct Session {
 
 impl Session {
     fn new(conn: TcpStream, handle: ServiceHandle) -> Self {
+        // Replies are small and often pipelined: with Nagle on, a reply
+        // written while the previous one is unacknowledged waits for
+        // the peer's next segment. Best effort, like `set_nonblocking`
+        // — a socket that refuses still serves correctly.
+        let _ = conn.set_nodelay(true);
         Session {
             conn,
             handle,
@@ -543,5 +548,30 @@ pub(super) fn event_loop(
             std::thread::sleep(idle);
             idle = (idle * 2).min(IDLE_MAX);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::ServiceBuilder;
+    use sc_setsystem::gen;
+
+    #[test]
+    fn accepted_session_sockets_disable_nagle() {
+        let service = ServiceBuilder::new()
+            .tenant("default", gen::planted(16, 32, 2, 1).system)
+            .build();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (conn, _) = listener.accept().expect("accept");
+        assert!(
+            !conn.nodelay().expect("read TCP_NODELAY"),
+            "Nagle starts on"
+        );
+        service.serve(|handle| {
+            let session = Session::new(conn, handle);
+            assert!(session.conn.nodelay().expect("read TCP_NODELAY"));
+        });
     }
 }

@@ -6,14 +6,14 @@
 //! *lane* per tenant, each over its own hot-swappable repository
 //! generations ([`TenantRegistry`](crate::tenants::TenantRegistry)),
 //! with the deficit-round-robin
-//! [`FairGate`](crate::fairness::FairGate) arbitrating scan epochs
-//! across lanes.
+//! [`FairGate`](crate::fairness::FairGate) arbitrating `(tenant,
+//! shard)` work units across lanes.
 
 use crate::admission::{Admitted, Inflight, Intake, QuerySubmission, ReloadRequest, Submission};
 use crate::alignment::{self, EpochState};
 use crate::cache::{EvictionPolicy, OutcomeCache};
 use crate::execution;
-use crate::fairness::{FairGate, GrantUnit};
+use crate::fairness::FairGate;
 use crate::metrics::ServiceMetrics;
 use crate::query::{QueryOutcome, QuerySpec};
 use crate::telemetry::tel;
@@ -25,81 +25,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-
-/// How a query arriving while a scan is in flight is admitted into it
-/// (serve mode; batch admission always happens before the first scan).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionMode {
-    /// Non-blocking, pass-aligned accept (the default): arrivals queue
-    /// while the fan-out runs — the epoch thread drains them
-    /// concurrently — and splice in at the scan boundary, each
-    /// joiner's next logical pass aligned to the group's current pass
-    /// tag and fed the scan's items through the zero-copy replay. The
-    /// admission window's timer overlaps the fan-out instead of
-    /// holding the epoch thread idle up front.
-    #[default]
-    Aligned,
-    /// The PR 4 baseline, kept for measurement (experiment E20): a
-    /// blocking drain before the fan-out. The admission window holds
-    /// the epoch thread idle for up to its full duration, and a query
-    /// arriving while the fan-out runs waits for the next epoch.
-    Boundary,
-}
-
-impl AdmissionMode {
-    /// Parses `"aligned"` / `"boundary"` (the `sctool serve
-    /// --admission` grammar).
-    ///
-    /// # Errors
-    ///
-    /// A message naming the unknown mode.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "aligned" => Ok(Self::Aligned),
-            "boundary" => Ok(Self::Boundary),
-            other => Err(format!(
-                "unknown admission mode {other:?} (aligned|boundary)"
-            )),
-        }
-    }
-}
-
-/// The granularity at which tenant lanes share the machine (serve
-/// mode; batch runs are a single ungated lane either way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InterleaveMode {
-    /// Shard-granular interleaving (the default): every lane with an
-    /// in-flight epoch advances through one shared work-stealing
-    /// fan-out ([`sc_stream::InterleavedCursor`]), with the
-    /// deficit-round-robin gate metering individual `(tenant, shard)`
-    /// units under a machine-wide concurrency cap (the worker budget).
-    /// A box serving many narrow tenants saturates its cores; the
-    /// per-tenant observables (covers, passes, space, cache keys) are
-    /// bit-identical to epoch mode — only the interleaving changes.
-    #[default]
-    Shard,
-    /// The PR 8 baseline, kept for measurement (experiments E23/E25):
-    /// one tenant's epoch holds the gate exclusively and runs to
-    /// completion. Simple and strictly bounded, but a narrow epoch
-    /// leaves the rest of the worker pool idle.
-    Epoch,
-}
-
-impl InterleaveMode {
-    /// Parses `"shard"` / `"epoch"` (the `sctool serve --interleave`
-    /// grammar).
-    ///
-    /// # Errors
-    ///
-    /// A message naming the unknown mode.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "shard" => Ok(Self::Shard),
-            "epoch" => Ok(Self::Epoch),
-            other => Err(format!("unknown interleave mode {other:?} (shard|epoch)")),
-        }
-    }
-}
 
 /// Tuning knobs of the service.
 #[derive(Debug, Clone, Copy)]
@@ -125,9 +50,6 @@ pub struct ServiceConfig {
     /// defaults to LRU). Ignored with
     /// [`ServiceBuilder::shared_cache`].
     pub eviction: EvictionPolicy,
-    /// How mid-stream arrivals are admitted into an in-flight scan
-    /// (see [`AdmissionMode`]; serve mode only).
-    pub admission: AdmissionMode,
     /// How long the scheduler holds the *first* scan of a fresh epoch
     /// group open for mid-stream joiners (serve mode only; zero — the
     /// default — admits mid-stream without ever holding a scan open).
@@ -139,11 +61,8 @@ pub struct ServiceConfig {
     /// sparse traffic: every query that starts a fresh group holds its
     /// first scan's boundary open up to the full window waiting for
     /// company, so a strict request-response client pays the window per
-    /// query. Under [`AdmissionMode::Aligned`] the timer runs from the
-    /// scan's *start* — the fan-out overlaps it — while
-    /// [`AdmissionMode::Boundary`] blocks the epoch thread for the
-    /// whole window before any fan-out work. Leave it at zero unless
-    /// clients submit in bursts.
+    /// query. The timer runs from the scan's *start* — the fan-out
+    /// overlaps it. Leave it at zero unless clients submit in bursts.
     pub admission_window: Duration,
     /// Sets per shard of the zero-copy repository feed the epoch
     /// fan-out drives jobs with ([`sc_stream::ShardedPass`]): the
@@ -164,9 +83,6 @@ pub struct ServiceConfig {
     /// Covers, logical passes, and space peaks are bit-identical
     /// either way (the queries are deterministic given their spec).
     pub coalesce: bool,
-    /// How tenant lanes share the machine: shard-granular interleaving
-    /// (default) or exclusive epoch grants (see [`InterleaveMode`]).
-    pub interleave: InterleaveMode,
 }
 
 impl Default for ServiceConfig {
@@ -180,11 +96,9 @@ impl Default for ServiceConfig {
             queue_depth: 256,
             cache_capacity: 256,
             eviction: EvictionPolicy::Fifo,
-            admission: AdmissionMode::Aligned,
             admission_window: Duration::ZERO,
             shard_size: 256,
             coalesce: false,
-            interleave: InterleaveMode::Shard,
         }
     }
 }
@@ -426,11 +340,10 @@ impl ServiceHandle {
 /// a group of concurrent queries is the *max* of their logical pass
 /// counts, not the sum, exactly the accounting the streaming model
 /// charges for parallel branches. Queries arriving while a scan is in
-/// flight splice into it **pass-aligned and non-blocking** (see
-/// [`AdmissionMode`]), repeats are answered from the **outcome cache**
-/// in zero physical scans, and `!reload` swaps the repository
-/// mid-load with in-flight queries draining on their original
-/// generation.
+/// flight splice into it **pass-aligned and non-blocking**, repeats
+/// are answered from the **outcome cache** in zero physical scans, and
+/// `!reload` swaps the repository mid-load with in-flight queries
+/// draining on their original generation.
 ///
 /// # Examples
 ///
@@ -549,7 +462,7 @@ impl ServiceBuilder {
     }
 
     /// Sets [`ServiceConfig::max_inflight`] (also the default tenant
-    /// quota and the default fairness quantum).
+    /// quota).
     #[must_use]
     pub fn max_inflight(mut self, n: usize) -> Self {
         self.cfg.max_inflight = n;
@@ -586,13 +499,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets [`ServiceConfig::admission`].
-    #[must_use]
-    pub fn admission(mut self, mode: AdmissionMode) -> Self {
-        self.cfg.admission = mode;
-        self
-    }
-
     /// Sets [`ServiceConfig::admission_window`].
     #[must_use]
     pub fn admission_window(mut self, window: Duration) -> Self {
@@ -614,20 +520,9 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets [`ServiceConfig::interleave`].
-    #[must_use]
-    pub fn interleave(mut self, mode: InterleaveMode) -> Self {
-        self.cfg.interleave = mode;
-        self
-    }
-
-    /// Sets the fairness quantum: the credit a tenant lane is funded
-    /// with per arbitration turn of the gate. Under
-    /// [`InterleaveMode::Epoch`] it is banked per ring round against
-    /// the epoch's inflight cost (default `max_inflight`: one round
-    /// funds one full epoch); under [`InterleaveMode::Shard`] it is
-    /// the lane's burst of `(tenant, shard)` units per turn (default
-    /// `workers`: one turn refills the machine's worker budget). See
+    /// Sets the fairness quantum: the lane's burst of `(tenant, shard)`
+    /// units per arbitration turn of the gate (default `workers`: one
+    /// turn refills the machine's worker budget). See
     /// [`crate::fairness`].
     #[must_use]
     pub fn quantum(mut self, q: u64) -> Self {
@@ -678,10 +573,7 @@ impl ServiceBuilder {
             registry: TenantRegistry::build(tenants),
             cfg,
             cache,
-            quantum: self.quantum.unwrap_or(match cfg.interleave {
-                InterleaveMode::Epoch => cfg.max_inflight as u64,
-                InterleaveMode::Shard => cfg.workers as u64,
-            }),
+            quantum: self.quantum.unwrap_or(cfg.workers as u64),
         }
     }
 }
@@ -772,6 +664,17 @@ impl Service {
         let mut metrics = ServiceMetrics::default();
         let mut next = 0usize;
         let mut state = EpochState::new();
+        // A batch is one lane on a one-lane gate: the same fan-out as
+        // serve mode, with the gate's solo fast path skipping
+        // arbitration.
+        let gate = FairGate::new(1, self.quantum, self.cfg.workers as u64);
+        let fanout = InterleavedCursor::new();
+        let il = execution::ShardInterleave {
+            gate: &gate,
+            lane: 0,
+            fanout: &fanout,
+            counters: gen.tenant.counters(),
+        };
         tel().submitted.add(specs.len() as u64);
         if sc_telemetry::enabled() {
             for slot in 0..specs.len() {
@@ -903,7 +806,7 @@ impl Service {
                 None,
                 &mut metrics,
                 false,
-                None,
+                &il,
             );
         }
         metrics.physical_scans = ledger.physical_scans();
@@ -928,15 +831,16 @@ impl Service {
     /// tenant's generations — so every per-tenant stream of queries
     /// behaves bit-identically to a solo service — while the lanes
     /// share the outcome cache (tenant-partitioned) and arbitrate scan
-    /// epochs through the deficit-round-robin [`FairGate`]: a hot
-    /// tenant cannot starve a cold one, and a cold tenant's admission
-    /// (stage 1, including cache hits) never waits on the gate at all.
+    /// work, one `(tenant, shard)` unit at a time, through the
+    /// deficit-round-robin [`FairGate`]: a hot tenant cannot starve a
+    /// cold one, and a cold tenant's admission (stage 1, including
+    /// cache hits) never waits on the gate at all.
     ///
-    /// Admission happens at epoch boundaries *and* mid-stream (see
-    /// [`AdmissionMode`]): a query arriving while a scan is in flight
-    /// splices into that scan — its first pass aligned to the group's
-    /// current pass tag, the items observed through the zero-copy
-    /// replay — instead of queueing for the next epoch. Repeat queries
+    /// Admission happens at epoch boundaries *and* mid-stream: a query
+    /// arriving while a scan is in flight splices into that scan — its
+    /// first pass aligned to the group's current pass tag, the items
+    /// observed through the zero-copy replay — instead of queueing for
+    /// the next epoch. Repeat queries
     /// are answered from the outcome cache immediately, and
     /// [`ServiceHandle::reload`] hot-swaps the handle's tenant between
     /// epoch groups with in-flight queries draining on their original
@@ -959,13 +863,7 @@ impl Service {
             counter: Arc::new(AtomicU64::new(0)),
             registry: Arc::clone(&self.registry),
         };
-        let gate = match self.cfg.interleave {
-            InterleaveMode::Epoch => FairGate::new(lanes, self.quantum),
-            InterleaveMode::Shard => {
-                FairGate::sharded(lanes, self.quantum, self.cfg.workers as u64)
-            }
-        };
-        let gate = &gate;
+        let gate = &FairGate::new(lanes, self.quantum, self.cfg.workers as u64);
         let fanout = InterleavedCursor::new();
         let fanout = &fanout;
         std::thread::scope(|s| {
@@ -988,8 +886,7 @@ impl Service {
     /// the tenant's channel closes or a reload ends the generation
     /// (in-flight queries drain on it first; the swap is acknowledged
     /// once it took effect). Scan work goes through the shared
-    /// [`FairGate`] — per epoch or per `(tenant, shard)` unit,
-    /// depending on [`InterleaveMode`].
+    /// [`FairGate`] one `(tenant, shard)` unit at a time.
     fn lane_scheduler(
         &self,
         lane: usize,
@@ -1004,14 +901,13 @@ impl Service {
         let mut intake = Intake::new(&rx);
         loop {
             let gen = tenant.store().current();
-            self.run_generation(
-                &gen,
-                &mut intake,
-                &mut metrics,
-                &mut physical,
-                (gate, lane),
+            let il = execution::ShardInterleave {
+                gate,
+                lane,
                 fanout,
-            );
+                counters: gen.tenant.counters(),
+            };
+            self.run_generation(&gen, &mut intake, &mut metrics, &mut physical, &il);
             match intake.reload.take() {
                 Some(req) => {
                     let (fresh, reaped) = self.install_counted(tenant, req.system);
@@ -1035,19 +931,16 @@ impl Service {
     /// boundary admission, retirement, and scan epochs, until nothing
     /// further can arrive for this generation (channel closed, or a
     /// reload captured) and everything admitted has drained. Scan
-    /// work is arbitrated across tenant lanes through `gate` —
-    /// exclusive epoch holds in [`InterleaveMode::Epoch`], per-unit
-    /// holds through the shared `fanout` registry in
-    /// [`InterleaveMode::Shard`] (admission and retirement stay
-    /// ungated — only the repository-walking stages contend).
+    /// work is arbitrated across tenant lanes per `(tenant, shard)`
+    /// unit through `il` (admission and retirement stay ungated — only
+    /// the repository-walking stages contend).
     fn run_generation(
         &self,
         gen: &RepositoryGeneration,
         intake: &mut Intake<'_>,
         metrics: &mut ServiceMetrics,
         physical: &mut usize,
-        gate: (&FairGate, usize),
-        fanout: &InterleavedCursor,
+        il: &execution::ShardInterleave<'_>,
     ) {
         let root = SetStream::new(&gen.system);
         let ledger = ScanLedger::new();
@@ -1134,26 +1027,9 @@ impl Service {
                 }
                 continue;
             }
-            // Stages 2 + 3 — one scan epoch, gated across tenant
-            // lanes (the RAII holds release even if the epoch
-            // panics). Epoch mode holds the gate exclusively for the
-            // whole scan, its cost the rider count — heavy epochs
-            // spend proportionally more deficit credit. Shard mode
-            // instead marks the lane live and lets the fan-out meter
-            // individual (tenant, shard) units through the shared
-            // cursor, so every granted lane advances concurrently.
-            let (g, l) = gate;
-            let interleave =
-                matches!(g.unit(), GrantUnit::Shard).then(|| execution::ShardInterleave {
-                    gate: g,
-                    lane: l,
-                    fanout,
-                    counters: gen.tenant.counters(),
-                });
-            let _hold = interleave
-                .is_none()
-                .then(|| g.acquire(l, state.inflight.len() as u64));
-            let _session = interleave.is_some().then(|| g.enter(l));
+            // Stages 2 + 3 — one scan epoch, its fan-out metered per
+            // (tenant, shard) unit through the shared cursor, so every
+            // granted lane advances concurrently.
             self.epoch(
                 gen,
                 &root,
@@ -1162,7 +1038,7 @@ impl Service {
                 Some(intake),
                 metrics,
                 fresh_group,
-                interleave.as_ref(),
+                il,
             );
         }
         *physical += ledger.physical_scans();
@@ -1172,10 +1048,11 @@ impl Service {
     /// physical pass — exposed as a zero-copy sharded feed — the
     /// configured admission path handles queries arriving while the
     /// scan is in flight, and the work-stealing worker pool fans the
-    /// per-query state updates out shard by shard. With `interleave`
-    /// set, the fan-out goes through the service-wide shared cursor
-    /// with one gate unit held per shard (see
-    /// [`execution::ShardInterleave`]).
+    /// per-query state updates out shard by shard through the
+    /// service-wide shared cursor, with one gate unit held per shard
+    /// (see [`execution::ShardInterleave`]). The lane is live on the
+    /// gate for the whole epoch; the session's drop forfeits its
+    /// unspent turn, releasing even if the epoch panics.
     #[allow(clippy::too_many_arguments)]
     fn epoch<'g>(
         &self,
@@ -1186,8 +1063,9 @@ impl Service {
         intake: Option<&mut Intake<'_>>,
         metrics: &mut ServiceMetrics,
         fresh_group: bool,
-        interleave: Option<&execution::ShardInterleave<'_>>,
+        il: &execution::ShardInterleave<'_>,
     ) {
+        let _session = il.gate.enter(il.lane);
         state.group_pass += 1;
         for (_, fl) in state.inflight.iter_mut() {
             fl.job.begin_scan();
@@ -1222,42 +1100,15 @@ impl Service {
         let lone_fresh_head = fresh_group && state.inflight.len() < 2;
         let window = (lone_fresh_head && self.cfg.admission_window > Duration::ZERO)
             .then(|| Instant::now() + self.cfg.admission_window);
-        let parked = match (self.cfg.admission, intake) {
-            (_, None) => {
+        let parked = match intake {
+            None => {
                 // Batch mode: a pure fan-out, no mid-stream arrivals.
                 let _span = tel().stage_execution.span();
-                metrics.shard_grants += execution::fan_out(
-                    &feed,
-                    &mut state.inflight,
-                    self.cfg.workers,
-                    None,
-                    interleave,
-                );
+                metrics.shard_grants +=
+                    execution::fan_out(&feed, &mut state.inflight, self.cfg.workers, None, il);
                 Vec::new()
             }
-            (AdmissionMode::Boundary, Some(intake)) => {
-                // The PR 4 baseline: blocking drain before the
-                // fan-out (joiners ride the workers with the group).
-                let parked = {
-                    let _span = tel().stage_alignment.span();
-                    alignment::blocking_drain(
-                        self, gen, root, ledger, state, intake, window, metrics,
-                    )
-                };
-                metrics.max_inflight_seen = metrics
-                    .max_inflight_seen
-                    .max(state.inflight.len() + parked.len());
-                let _span = tel().stage_execution.span();
-                metrics.shard_grants += execution::fan_out(
-                    &feed,
-                    &mut state.inflight,
-                    self.cfg.workers,
-                    None,
-                    interleave,
-                );
-                parked
-            }
-            (AdmissionMode::Aligned, Some(intake)) => {
+            Some(intake) => {
                 // Non-blocking accept: the fan-out drains arrivals
                 // concurrently (answering cache hits on the spot); the
                 // splice lands the rest at the boundary.
@@ -1278,7 +1129,7 @@ impl Service {
                         &mut state.inflight,
                         self.cfg.workers,
                         Some(&mut drain),
-                        interleave,
+                        il,
                     )
                 };
                 metrics.shard_grants += units;

@@ -113,10 +113,8 @@ impl TenantCounters {
         self.tel_coalesced.incr();
     }
 
-    /// One `(tenant, shard)` work unit absorbed through the
-    /// shard-granular interleaved fan-out
-    /// ([`InterleaveMode::Shard`](crate::InterleaveMode)). Stays zero
-    /// under epoch-granular gating.
+    /// One `(tenant, shard)` work unit absorbed through the interleaved
+    /// fan-out — in serve mode and in batch runs alike.
     pub(crate) fn bump_shard_grant(&self) {
         self.shard_grants.fetch_add(1, Ordering::Relaxed);
         self.tel_shard_grants.incr();
@@ -187,8 +185,8 @@ impl TenantMeta {
     /// This tenant's inflight quota: the most queries it may hold
     /// inside scan epochs at once. Admission past the quota waits for
     /// one of the tenant's own retirements — the static half of the
-    /// fairness story (the deficit-round-robin gate over scan epochs is
-    /// the dynamic half).
+    /// fairness story (the deficit-round-robin gate over `(tenant,
+    /// shard)` units is the dynamic half).
     pub fn quota(&self) -> usize {
         self.quota
     }

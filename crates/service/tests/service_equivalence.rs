@@ -150,12 +150,30 @@ fn single_threaded_and_threaded_epochs_agree() {
         })
         .tenant("default", inst.system.clone())
         .build();
-    let (a, _) = threaded.run_batch(&specs);
-    let (b, _) = sequential.run_batch(&specs);
+    let (a, a_metrics) = threaded.run_batch(&specs);
+    let (b, b_metrics) = sequential.run_batch(&specs);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.cover, y.cover);
         assert_eq!(x.logical_passes, y.logical_passes);
         assert_eq!(x.space_words, y.space_words);
+    }
+    // Batch runs meter `(tenant, shard)` units on both fan-out paths:
+    // every job absorbs every shard once per scan it rides, and the
+    // tenant's live counter agrees with the run's metrics.
+    let shards = inst
+        .system
+        .num_sets()
+        .div_ceil(ServiceConfig::default().shard_size);
+    let units: usize = a.iter().map(|o| o.logical_passes * shards).sum();
+    for (service, metrics) in [(&threaded, &a_metrics), (&sequential, &b_metrics)] {
+        assert_eq!(metrics.shard_grants, units);
+        let (.., tenant_grants) = service
+            .tenants()
+            .default_tenant()
+            .meta()
+            .counters()
+            .snapshot();
+        assert_eq!(tenant_grants, units as u64);
     }
 }
 

@@ -10,7 +10,7 @@
 use sc_core::baselines::StoreAllGreedy;
 use sc_core::partial::{run_partial, PartialIterSetCover};
 use sc_core::{IterSetCover, IterSetCoverConfig};
-use sc_service::{InterleaveMode, QuerySpec, ServiceBuilder};
+use sc_service::{QuerySpec, ServiceBuilder};
 use sc_setsystem::{gen, SetSystem};
 use sc_stream::run_reported;
 
@@ -46,11 +46,10 @@ fn solo(spec: &QuerySpec, system: &SetSystem) -> (Vec<u32>, usize, usize) {
     }
 }
 
-/// The bit-identity suite body, run once per scheduling granularity:
-/// whichever way the fairness gate slices execution — exclusive epochs
-/// or interleaved `(tenant, shard)` units — every answer must match a
-/// solo run exactly.
-fn bit_identity_under_interleaved_load(mode: InterleaveMode) {
+/// The bit-identity suite body: however the fairness gate interleaves
+/// the tenants' `(tenant, shard)` units, every answer must match a solo
+/// run exactly.
+fn bit_identity_under_interleaved_load() {
     let alpha = gen::planted(256, 512, 8, 11);
     let beta = gen::planted(192, 384, 6, 22);
     let specs: Vec<QuerySpec> = (0..4)
@@ -69,7 +68,6 @@ fn bit_identity_under_interleaved_load(mode: InterleaveMode) {
     let service = ServiceBuilder::new()
         .tenant("alpha", alpha.system.clone())
         .tenant("beta", beta.system.clone())
-        .interleave(mode)
         .build();
     let (answered, _metrics) = service.serve(|handle| {
         let beta_handle = handle.with_tenant("beta").expect("tenant exists");
@@ -105,12 +103,7 @@ fn bit_identity_under_interleaved_load(mode: InterleaveMode) {
 
 #[test]
 fn each_tenant_answers_bit_identically_to_solo_under_shard_interleaving() {
-    bit_identity_under_interleaved_load(InterleaveMode::Shard);
-}
-
-#[test]
-fn each_tenant_answers_bit_identically_to_solo_under_epoch_granting() {
-    bit_identity_under_interleaved_load(InterleaveMode::Epoch);
+    bit_identity_under_interleaved_load();
 }
 
 #[test]

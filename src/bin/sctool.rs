@@ -52,14 +52,14 @@ const USAGE: &str = "usage:
   sctool exact <file> [--budget NODES]
   sctool certify <file>
   sctool convert <in> <out>              (format chosen by .scb extension)
-  sctool serve <file> [--repo NAME=PATH]... [--quota NAME=N]... [--quantum N] [--interleave shard|epoch] [--listen HOST:PORT] [--max-conns N] [--shed DEPTH] [--inflight N] [--workers N] [--cache N] [--eviction fifo|lru] [--admission aligned|boundary] [--window MS] [--shard SETS] [--coalesce] [--stats-interval SECS] [--no-telemetry]
+  sctool serve <file> [--repo NAME=PATH]... [--quota NAME=N]... [--quantum N] [--listen HOST:PORT] [--max-conns N] [--shed DEPTH] [--inflight N] [--workers N] [--cache N] [--eviction fifo|lru] [--window MS] [--shard SETS] [--coalesce] [--stats-interval SECS] [--no-telemetry]
   sctool client --connect HOST:PORT [--repo NAME] [--wait-ready SECS] [--queries N] [--concurrency C] [--spec QUERY] [--duplicates K] [--allow-busy] [--stats] [--shutdown]
   sctool geomgen <discs|rects|triangles|clustered|grid|twoline> [--n N] [--m M] [--k K] [--half H] [--seed SEED]
   sctool geomsolve <file> [--delta D] [--no-canonical] [--bg]
 
 files: text format everywhere; SCB1 binary is sniffed by magic; use - for stdin (either format)
 serve protocol: one query per line — 'iter [delta=D] [seed=S]', 'partial [eps=E] [delta=D] [seed=S]', 'greedy', each optionally carrying 'repo=NAME' to address a named repository; also ping/quit/shutdown, '!use NAME' (retarget the connection at a named repository), '!repos' (list served repositories with generation/fingerprint/quota/counters), '!reload [NAME] PATH' (hot-swap a repository — the bare form swaps the connection's current one; in-flight queries drain on their generation), and the live telemetry verbs '!stats' (one-line counters + stage percentiles), '!metrics' (Prometheus-style listing), '!trace ID' (one query's journal timeline); responses come back in request order
-serve tenants: the positional <file> is the repository named 'default'; each --repo NAME=PATH adds another; --quota NAME=N caps one repository's inflight slots; --quantum N tunes the cross-tenant fairness gate; --interleave picks its grant unit — 'shard' (default) interleaves every granted tenant's scan work shard-by-shard through one work-stealing fan-out, 'epoch' grants one tenant's whole epoch at a time (the pre-interleaving baseline)
+serve tenants: the positional <file> is the repository named 'default'; each --repo NAME=PATH adds another; --quota NAME=N caps one repository's inflight slots; --quantum N tunes the cross-tenant fairness gate, which interleaves every granted tenant's scan work shard-by-shard through one work-stealing fan-out
 serve overload: one event-driven thread multiplexes every connection; past --max-conns new connections get 'err msg=busy' and close, a query landing on a full submission queue answers 'err msg=busy' in-line, a request line past the per-session buffer cap answers 'err msg=line_too_long', and --shed DEPTH bounds each session's pipelined replies (beyond it the socket stalls in TCP backpressure); 'sctool client --allow-busy' counts busy answers instead of failing";
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -407,6 +407,38 @@ fn convert_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Rejects any `sctool serve` argument after the positional file that
+/// is not a known flag (or a known flag's value) — a misspelt or
+/// retired flag must fail loudly rather than silently change nothing.
+fn check_serve_flags(args: &[String]) -> Result<(), String> {
+    const VALUE_FLAGS: &[&str] = &[
+        "--repo",
+        "--quota",
+        "--quantum",
+        "--listen",
+        "--max-conns",
+        "--shed",
+        "--inflight",
+        "--workers",
+        "--cache",
+        "--eviction",
+        "--window",
+        "--shard",
+        "--stats-interval",
+    ];
+    const SWITCHES: &[&str] = &["--coalesce", "--no-telemetry"];
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            rest.next()
+                .ok_or_else(|| format!("serve: {arg}: missing value"))?;
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            return Err(format!("serve: unknown flag {arg:?}"));
+        }
+    }
+    Ok(())
+}
+
 /// `sctool serve`: the `sc_service` scan scheduler behind a line
 /// protocol. Without `--listen`, requests arrive on stdin and responses
 /// leave on stdout (EOF shuts down); with `--listen HOST:PORT`, every
@@ -414,9 +446,8 @@ fn convert_cmd(args: &[String]) -> Result<(), String> {
 /// `shutdown` command stops the listener once inflight work drains.
 fn serve_cmd(args: &[String]) -> Result<(), String> {
     use streaming_set_cover::service::net;
-    use streaming_set_cover::service::{
-        AdmissionMode, EvictionPolicy, InterleaveMode, ServiceBuilder, ServiceConfig,
-    };
+    use streaming_set_cover::service::{EvictionPolicy, ServiceBuilder, ServiceConfig};
+    check_serve_flags(args)?;
     if args.first().is_some_and(|p| p == "-") && flag(args, "--listen").is_none() {
         return Err(
             "serve: reading the instance from stdin needs --listen (without it, stdin carries the query protocol)"
@@ -447,14 +478,6 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         .eviction(
             EvictionPolicy::parse(&flag(args, "--eviction").unwrap_or_else(|| "lru".into()))
                 .map_err(|e| format!("--eviction: {e}"))?,
-        )
-        .admission(
-            AdmissionMode::parse(&flag(args, "--admission").unwrap_or_else(|| "aligned".into()))
-                .map_err(|e| format!("--admission: {e}"))?,
-        )
-        .interleave(
-            InterleaveMode::parse(&flag(args, "--interleave").unwrap_or_else(|| "shard".into()))
-                .map_err(|e| format!("--interleave: {e}"))?,
         )
         .admission_window(std::time::Duration::from_millis(flag_or(
             args, "--window", 0u64,

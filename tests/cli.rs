@@ -221,6 +221,39 @@ fn serve_stdin_round_trips_three_concurrent_queries() {
 }
 
 #[test]
+fn serve_rejects_unknown_flags_without_serving() {
+    let generated = stdout(&run(&[
+        "gen", "planted", "--n", "64", "--m", "128", "--k", "4", "--seed", "3",
+    ]));
+    let dir = std::env::temp_dir().join(format!("sctool-serve-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sc = dir.join("inst.sc");
+    std::fs::write(&sc, &generated).unwrap();
+    // Retired flags and a typo of `--workers` must fail loudly instead
+    // of serving with silently different behaviour.
+    for (flag, value) in [
+        ("--interleave", "epoch"),
+        ("--admission", "boundary"),
+        ("--worker", "4"),
+    ] {
+        let out = run(&["serve", sc.to_str().unwrap(), flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag \"{flag}\"")), "{err}");
+        assert!(
+            !err.contains("sctool serve:"),
+            "{flag}: served anyway: {err}"
+        );
+    }
+    // A known flag missing its value is an error too.
+    let out = run(&["serve", sc.to_str().unwrap(), "--workers"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--workers: missing value"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn serve_tcp_round_trip_with_client_and_clean_shutdown() {
     use std::io::BufRead;
     use std::process::Stdio;
