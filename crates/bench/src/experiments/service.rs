@@ -126,5 +126,12 @@ pub fn service(scale: Scale) -> Table {
     ));
     table.note("naive scans = what a server running each query's scans separately would pay");
     table.note("every outcome is asserted bit-identical to its solo run (cover, passes, space)");
+    table.note(format!(
+        "this run: available_parallelism {}, default workers {}, kernel backend {}; \
+         qps and ms are timing columns, skipped by repro --check",
+        std::thread::available_parallelism().map_or(1, usize::from),
+        ServiceConfig::default().workers,
+        sc_bitset::kernels::backend_name()
+    ));
     table
 }

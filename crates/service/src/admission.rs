@@ -25,7 +25,7 @@ use sc_stream::SetStream;
 use sc_telemetry::EventKind;
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What clients push down the submission channel.
 pub(crate) enum Submission {
@@ -201,54 +201,18 @@ impl<'rx> Intake<'rx> {
     }
 
     /// Drains arrivals into `pending` while a scan's fan-out runs — the
-    /// non-blocking accept path. Blocks at most `wait` (once, on the
-    /// channel) so the caller can interleave this with progress checks;
-    /// `Duration::ZERO` makes it a pure `try_recv` drain. Stops at
-    /// `limit` pending arrivals, on an empty channel, and on
-    /// close/reload.
-    pub fn poll_into(&mut self, pending: &mut Vec<PendingArrival>, limit: usize, wait: Duration) {
-        let mut may_block = wait > Duration::ZERO;
+    /// non-blocking accept path, a pure `try_recv` drain between the
+    /// lane thread's claims. Stops at `limit` pending arrivals, on
+    /// an empty channel, and on close/reload.
+    pub fn poll_into(&mut self, pending: &mut Vec<PendingArrival>, limit: usize) {
         while pending.len() < limit {
-            if let Some(q) = self.backlog.pop_front() {
-                pending.push(PendingArrival {
-                    drained: Instant::now(),
-                    sub: q,
-                });
-                continue;
-            }
-            if !self.draining_rx() {
+            let Some(sub) = self.pull_nonblocking() else {
                 return;
-            }
-            let sub = if may_block {
-                may_block = false;
-                match self.rx.recv_timeout(wait) {
-                    Ok(sub) => Ok(sub),
-                    Err(RecvTimeoutError::Timeout) => return,
-                    Err(RecvTimeoutError::Disconnected) => Err(()),
-                }
-            } else {
-                match self.rx.try_recv() {
-                    Ok(sub) => Ok(sub),
-                    Err(TryRecvError::Empty) => return,
-                    Err(TryRecvError::Disconnected) => Err(()),
-                }
             };
-            match sub {
-                Ok(sub) => {
-                    if let Some(q) = self.route(sub) {
-                        pending.push(PendingArrival {
-                            drained: Instant::now(),
-                            sub: q,
-                        });
-                    } else {
-                        return; // reload captured: stop pulling
-                    }
-                }
-                Err(()) => {
-                    self.open = false;
-                    return;
-                }
-            }
+            pending.push(PendingArrival {
+                drained: Instant::now(),
+                sub,
+            });
         }
     }
 }

@@ -16,14 +16,15 @@
 //! group) to start.
 //!
 //! Admission is **non-blocking**: arrivals queue as [`PendingArrival`]s
-//! while the fan-out runs ([`execution`](crate::execution) drains the
-//! channel concurrently) and [`splice_pending`] splices them at the
+//! while the fan-out runs (the lane thread drains the channel between
+//! its own [`execution`](crate::execution) units) and [`splice_pending`] splices them at the
 //! scan boundary, feeding each joiner the scan's items through the
-//! zero-copy replay before `end_scan` runs. The admission window, when
-//! configured, holds the boundary of a lone fresh head's first scan
-//! open — but its timer runs from the scan's *start*, so the fan-out
-//! already burned most of it and the epoch thread idles only for the
-//! remainder.
+//! zero-copy replay and then running its `end_scan` (the original
+//! riders ran theirs on the fan-out's workers). The admission window,
+//! when configured, holds the boundary of a lone fresh head's first
+//! scan open — but its timer runs from the scan's *start*, so the
+//! fan-out already burned most of it and the epoch thread idles only
+//! for the remainder.
 
 use crate::admission::{Admitted, Inflight, Intake, PendingArrival};
 use crate::metrics::ServiceMetrics;
@@ -55,19 +56,21 @@ impl<'a> EpochState<'a> {
 }
 
 /// Splices the arrivals a scan's fan-out drained into that scan, at its
-/// boundary (after the fan-out, before `end_scan`).
+/// boundary (after the fan-out, whose workers already ran the original
+/// riders' `end_scan`).
 ///
 /// Each arrival is disposed of in order: cache hits answer immediately,
 /// duplicates coalesce onto their in-flight leader, and a fresh job —
 /// room in the inflight window permitting — joins the scan it was
 /// drained during: `begin_scan`, [`ScanLedger::join`] (logging its
 /// logical pass against the scan's pass tag, no physical walk), then
-/// the zero-copy replay of the feed, so by `end_scan` it is
-/// indistinguishable from a job that was in the original participant
-/// list. Its admission instant is the drain instant — the moment the
-/// scheduler committed the in-flight scan to it. Jobs with nothing to
-/// scan are parked (returned) until after `end_scan`; fresh jobs that
-/// found no room go back to the intake's backlog for the next boundary.
+/// the zero-copy replay of the feed, then its own `end_scan`, so it
+/// leaves the splice indistinguishable from a job that was in the
+/// original participant list. Its admission instant is the drain
+/// instant — the moment the scheduler committed the in-flight scan to
+/// it. Jobs with nothing to scan are parked (returned) for the caller
+/// to add after the splice; fresh jobs that found no room go back to
+/// the intake's backlog for the next boundary.
 ///
 /// When `window` is armed (a lone fresh head's first scan), the
 /// boundary is held open up to the deadline for company: the wait
@@ -137,8 +140,10 @@ pub(crate) fn splice_pending<'g>(
                         );
                         // The scan already walked the repository on the
                         // group's behalf; the joiner observes the same
-                        // item sequence through the zero-copy replay.
+                        // item sequence through the zero-copy replay,
+                        // then ends the scan as its riders did.
                         fl.job.absorb_shard(&mut feed.replay());
+                        fl.job.end_scan();
                         metrics.mid_stream_admissions += 1;
                         tel().mid_stream_admissions.incr();
                         sc_telemetry::event(

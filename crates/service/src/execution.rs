@@ -1,5 +1,6 @@
 //! Pipeline stage 3 — **execution**: the sharded work-stealing fan-out
-//! of one shared physical scan across the worker pool.
+//! of one shared physical scan across the worker pool, scan boundary
+//! included.
 //!
 //! The feed ([`sc_stream::ShardedPass`]) exposes the repository as
 //! zero-copy contiguous shards. Every scan attaches its lane's `(job,
@@ -14,12 +15,16 @@
 //! run is the same path with one lane on a one-lane gate, whose solo
 //! fast path skips arbitration.
 //!
-//! In serve mode the epoch thread is not idle while the workers run: it
-//! drains the submission channel into the pending-arrival buffer (the
-//! **non-blocking accept** half of the pipeline — see
+//! The worker that absorbs a job's last shard runs that job's
+//! `end_scan` on the spot, outside its gate unit, so the scan boundary
+//! of disjoint jobs runs in parallel instead of serially after the
+//! fan-out.
+//!
+//! The lane thread is one of the workers. In serve mode it drains the
+//! submission channel into the pending-arrival buffer between its
+//! claims (the **non-blocking accept** half of the pipeline — see
 //! [`alignment`](crate::alignment) for the splice that happens at the
-//! scan boundary). The single-worker path drains between units
-//! instead, so responsiveness does not depend on the worker count.
+//! scan boundary).
 
 use crate::admission::{Inflight, Intake, PendingArrival};
 use crate::fairness::FairGate;
@@ -28,15 +33,8 @@ use crate::service::Service;
 use crate::tenants::{RepositoryGeneration, TenantCounters};
 use sc_stream::{Claim, InterleavedCursor, LaneFeed, ShardedPass};
 use std::sync::Mutex;
-use std::time::Duration;
 
-/// How long the epoch thread blocks on the channel per drain round
-/// while the worker fan-out runs — the upper bound on how late it
-/// notices the feed finished, and the floor of a pending arrival's
-/// drain latency under an idle channel.
-const DRAIN_TICK: Duration = Duration::from_micros(200);
-
-/// Everything the epoch thread needs to accept arrivals while the
+/// Everything the lane thread needs to accept arrivals while the
 /// fan-out runs: the intake to drain, the pending buffer the splice
 /// will consume, and the service context for answering cache hits on
 /// the spot (a hit needs neither a slot nor the scan, so it never
@@ -51,23 +49,18 @@ pub(crate) struct ArrivalDrain<'x, 'rx> {
 }
 
 impl ArrivalDrain<'_, '_> {
-    /// One drain round: pull arrivals (blocking at most `wait` on the
-    /// channel), answer the cache hits among the *newly* drained ones
-    /// immediately, keep the misses pending for the splice. Arrivals
-    /// that already missed are not re-probed every round — only
-    /// retirement on this same thread can insert, so a pending miss
-    /// stays a miss until the scan boundary (where the splice probes
-    /// once more, covering the shared-cache twin case).
-    fn tick(&mut self, wait: Duration) {
+    /// One drain round: pull arrivals without blocking, answer the
+    /// cache hits among the *newly* drained ones immediately, keep the
+    /// misses pending for the splice. Arrivals that already missed are
+    /// not re-probed every round — only retirement on this same thread
+    /// can insert, so a pending miss stays a miss until the scan
+    /// boundary (where the splice probes once more, covering the
+    /// shared-cache twin case).
+    fn tick(&mut self) {
         let fresh_from = self.pending.len();
-        self.intake.poll_into(self.pending, self.limit, wait);
+        self.intake.poll_into(self.pending, self.limit);
         self.service
             .answer_drained_hits(self.gen, self.pending, fresh_from, self.metrics);
-    }
-
-    /// `true` while another arrival could still be accepted.
-    fn more_expected(&self) -> bool {
-        self.intake.draining_rx() && self.pending.len() < self.limit
     }
 }
 
@@ -83,18 +76,23 @@ pub(crate) struct ShardInterleave<'x> {
     pub counters: &'x TenantCounters,
 }
 
-/// Runs one scan's fan-out to completion: this lane's `(job, shard)`
-/// grid attaches to the shared [`InterleavedCursor`] registry, and
-/// every absorbed shard holds one RAII unit from the machine-wide gate
-/// — so while this epoch runs, the box is concurrently advancing every
-/// *other* granted lane's epoch too, with DRR deciding whose units go
-/// next. Claim before acquire: a worker blocked on the gate already
-/// holds its consumer's claim, so its lane siblings steal other
-/// consumers instead of racing it for this one, and no grant is ever
-/// wasted on a worker with nothing to feed. With `drain` set (serve
-/// mode), the epoch thread concurrently drains arrivals into the
-/// pending buffer. Returns the number of units granted — every `(job,
-/// shard)` unit of the scan (a dying worker propagates its panic
+/// Runs one scan's fan-out to completion, scan boundary included:
+/// this lane's `(job, shard)` grid attaches to the shared
+/// [`InterleavedCursor`] registry, and every absorbed shard holds one
+/// RAII unit from the machine-wide gate — so while this epoch runs, the
+/// box is concurrently advancing every *other* granted lane's epoch
+/// too, with DRR deciding whose units go next. Claim before acquire: a
+/// worker blocked on the gate already holds its consumer's claim, so
+/// its lane siblings steal other consumers instead of racing it for
+/// this one, and no grant is ever wasted on a worker with nothing to
+/// feed. The worker that absorbs a job's last shard releases the unit
+/// and then runs the job's `end_scan`.
+///
+/// The calling lane thread is one of the `workers` and runs the same
+/// claim loop as the `workers − 1` scoped threads beside it; with
+/// `drain` set (serve mode) it drains arrivals into the pending buffer
+/// between its claims. Returns the number of units granted — every
+/// `(job, shard)` unit of the scan (a dying worker propagates its panic
 /// instead of returning).
 ///
 /// Per-lane scheduling semantics (every job sees every shard of its
@@ -108,88 +106,279 @@ pub(crate) fn fan_out<'g>(
     mut drain: Option<&mut ArrivalDrain<'_, '_>>,
     il: &ShardInterleave<'_>,
 ) -> usize {
-    let units = inflight.len() * feed.num_shards();
+    let shards = feed.num_shards();
+    if shards == 0 {
+        // An empty repository has no last shard to end the scan on.
+        for (_, fl) in inflight.iter_mut() {
+            fl.job.end_scan();
+        }
+        return 0;
+    }
+    let units = inflight.len() * shards;
     let workers = workers.min(inflight.len());
-    let lane_feed = il.fanout.attach(inflight.len(), feed.num_shards());
-    if workers > 1 {
-        let slots: Vec<Mutex<&mut Inflight<'g>>> =
-            inflight.iter_mut().map(|(_, fl)| Mutex::new(fl)).collect();
-        /// Aborts the lane's feed if the owning worker unwinds mid-unit:
-        /// its consumer would stay claimed forever, and siblings would
-        /// spin on `Retry` instead of letting the scope join and
-        /// propagate the panic. Only this lane's feed: a cross-lane
-        /// abort would let a healthy lane's fan-out return with an
-        /// incomplete scan.
-        struct AbortLaneOnUnwind<'c, 'f>(&'c LaneFeed<'f>);
-        impl Drop for AbortLaneOnUnwind<'_, '_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    self.0.abort();
-                }
+    let lane_feed = il.fanout.attach(inflight.len(), shards);
+    let slots: Vec<Mutex<&mut Inflight<'g>>> =
+        inflight.iter_mut().map(|(_, fl)| Mutex::new(fl)).collect();
+    /// Aborts the lane's feed if the owning worker unwinds mid-unit:
+    /// its consumer would stay claimed forever, and siblings would
+    /// spin on `Retry` instead of letting the scope join and propagate
+    /// the panic. Only this lane's feed: a cross-lane abort would let a
+    /// healthy lane's fan-out return with an incomplete scan.
+    struct AbortLaneOnUnwind<'c, 'f>(&'c LaneFeed<'f>);
+    impl Drop for AbortLaneOnUnwind<'_, '_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.abort();
             }
         }
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    let _guard = AbortLaneOnUnwind(&lane_feed);
-                    loop {
-                        match lane_feed.claim() {
-                            Claim::Shard { consumer, shard } => {
-                                let _unit = il.gate.acquire_unit(il.lane);
-                                let mut fl = slots[consumer].lock().expect("job slot poisoned");
-                                fl.job.absorb_shard(&mut feed.shard(shard));
-                                drop(fl);
-                                il.counters.bump_shard_grant();
-                                lane_feed.complete(consumer, shard);
-                            }
-                            Claim::Retry => std::thread::yield_now(),
-                            Claim::Done => break,
-                        }
-                    }
-                });
-            }
-            // Non-blocking accept: while the workers chew through the
-            // feed, the epoch thread drains arrivals (answering cache
-            // hits immediately, queueing the rest for the splice at the
-            // scan boundary), blocking at most DRAIN_TICK per round so
-            // the feed's completion is noticed promptly. Once nothing
-            // more can arrive (channel idle at limit, closed, or a
-            // reload pending), fall through to the scope join.
-            if let Some(drain) = drain.as_mut() {
-                while lane_feed.remaining() > 0 && !lane_feed.is_aborted() {
-                    if !drain.more_expected() {
-                        break;
-                    }
-                    drain.tick(DRAIN_TICK);
-                }
-            }
-        });
-    } else {
-        // Single worker: the claim loop runs on the epoch thread, one
-        // gate unit per `(job, shard)`, draining the channel between
-        // units (pure try_recv). Claims come job-major — each job walks
-        // the repository before the next starts — which keeps the job's
-        // own state cache-hot; where that state outweighs a shard (an
-        // `iter` query's sampled universes), this beats a shard-major
-        // walk.
+    }
+    let work = |between_units: &mut dyn FnMut()| {
+        let _guard = AbortLaneOnUnwind(&lane_feed);
         loop {
             match lane_feed.claim() {
                 Claim::Shard { consumer, shard } => {
-                    let _unit = il.gate.acquire_unit(il.lane);
-                    inflight[consumer]
-                        .1
-                        .job
-                        .absorb_shard(&mut feed.shard(shard));
+                    let unit = il.gate.acquire_unit(il.lane);
+                    let mut fl = slots[consumer].lock().expect("job slot poisoned");
+                    fl.job.absorb_shard(&mut feed.shard(shard));
+                    drop(unit);
                     il.counters.bump_shard_grant();
-                    lane_feed.complete(consumer, shard);
-                    if let Some(drain) = drain.as_mut() {
-                        drain.tick(Duration::ZERO);
+                    if shard + 1 == shards {
+                        fl.job.end_scan();
                     }
+                    drop(fl);
+                    lane_feed.complete(consumer, shard);
                 }
                 Claim::Retry => std::thread::yield_now(),
                 Claim::Done => break,
             }
+            between_units();
+        }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(|| work(&mut || {}));
+        }
+        work(&mut || {
+            if let Some(drain) = drain.as_mut() {
+                drain.tick();
+            }
+        });
+    });
+    units
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::{CoverJob, JobResult};
+    use crate::query::QuerySpec;
+    use crate::tenants::TenantMeta;
+    use sc_setsystem::{ElemId, SetId, SetSystem};
+    use sc_stream::SetStream;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
+
+    /// Shards absorbed and scan boundaries entered by one stub job.
+    #[derive(Default)]
+    struct Tally {
+        absorbed: AtomicUsize,
+        ended: AtomicUsize,
+    }
+
+    /// What the stub jobs of both lanes wait on.
+    #[derive(Default)]
+    struct Signals {
+        /// The faulty lane's own thread is holding an absorb.
+        lane_holding: AtomicBool,
+        /// The worker whose `end_scan` panicked has unwound and exited,
+        /// so its abort guard has run.
+        worker_exited: AtomicBool,
+    }
+
+    /// Sets [`Signals::worker_exited`] from a thread-local destructor, which
+    /// runs only once the panicking worker has finished unwinding.
+    struct OnWorkerExit(Arc<Signals>);
+
+    impl Drop for OnWorkerExit {
+        fn drop(&mut self) {
+            self.0.worker_exited.store(true, Ordering::Release);
         }
     }
-    units
+
+    thread_local! {
+        static ON_EXIT: std::cell::RefCell<Option<OnWorkerExit>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    /// Waits (bounded, so a broken fan-out fails instead of hanging)
+    /// until `flag` is set.
+    fn wait_for(flag: &AtomicBool) {
+        let t0 = Instant::now();
+        while !flag.load(Ordering::Acquire) && t0.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A job whose absorbs wait on [`Signals`] and whose `end_scan` can
+    /// panic.
+    struct StubJob {
+        tally: Arc<Tally>,
+        signals: Arc<Signals>,
+        lane_thread: ThreadId,
+        /// On the lane thread, holds its absorb until the panicking
+        /// worker exited; elsewhere, absorbs once the lane thread holds
+        /// and panics in `end_scan`. A healthy job holds every absorb
+        /// until that exit and never panics itself.
+        faulty: bool,
+    }
+
+    impl<'a> CoverJob<'a> for StubJob {
+        fn wants_scan(&self) -> bool {
+            true
+        }
+        fn next_pass(&self) -> usize {
+            1
+        }
+        fn begin_scan(&mut self) {}
+        fn participants(&self) -> Vec<&SetStream<'a>> {
+            Vec::new()
+        }
+        fn absorb(&mut self, _id: SetId, _elems: &[ElemId]) {}
+        fn absorb_shard(&mut self, items: &mut dyn Iterator<Item = (SetId, &'a [ElemId])>) {
+            items.for_each(drop);
+            let on_lane = std::thread::current().id() == self.lane_thread;
+            if self.faulty && !on_lane {
+                wait_for(&self.signals.lane_holding);
+            } else {
+                if self.faulty {
+                    self.signals.lane_holding.store(true, Ordering::Release);
+                }
+                wait_for(&self.signals.worker_exited);
+            }
+            self.tally.absorbed.fetch_add(1, Ordering::AcqRel);
+        }
+        fn end_scan(&mut self) {
+            self.tally.ended.fetch_add(1, Ordering::AcqRel);
+            if self.faulty && std::thread::current().id() != self.lane_thread {
+                let signal = OnWorkerExit(Arc::clone(&self.signals));
+                ON_EXIT.with(|slot| *slot.borrow_mut() = Some(signal));
+                panic!("injected end_scan panic on a spawned worker");
+            }
+        }
+        fn finish(self: Box<Self>) -> JobResult {
+            unreachable!("fan_out never finishes a job")
+        }
+    }
+
+    fn lane_jobs<'a>(
+        n: usize,
+        signals: &Arc<Signals>,
+        lane_thread: ThreadId,
+        faulty: bool,
+    ) -> (Vec<(usize, Inflight<'a>)>, Vec<Arc<Tally>>) {
+        let tallies: Vec<Arc<Tally>> = (0..n).map(|_| Arc::default()).collect();
+        let jobs = tallies
+            .iter()
+            .enumerate()
+            .map(|(i, tally)| {
+                let now = Instant::now();
+                let job = StubJob {
+                    tally: Arc::clone(tally),
+                    signals: Arc::clone(signals),
+                    lane_thread,
+                    faulty,
+                };
+                let fl = Inflight {
+                    id: i as u64,
+                    spec: QuerySpec::GreedyBaseline,
+                    job: Box::new(job),
+                    submitted: now,
+                    admitted: now,
+                    reply: None,
+                    followers: Vec::new(),
+                };
+                (i, fl)
+            })
+            .collect();
+        (jobs, tallies)
+    }
+
+    #[test]
+    fn a_boundary_panic_on_a_spawned_worker_aborts_only_its_lane() {
+        // Two sets at one set per shard: every job has two shards.
+        let system = SetSystem::from_sets(2, vec![vec![0], vec![1]]);
+        let root = SetStream::new(&system);
+        let fork = root.fork();
+        let feed = root.sharded_pass(&[&fork], 1);
+        assert_eq!(feed.num_shards(), 2);
+        let gate = FairGate::new(2, 1, 4);
+        let fanout = InterleavedCursor::new();
+        let meta = TenantMeta::new(0, "execution_panic_probe", 1);
+        let signals = Arc::new(Signals::default());
+        let healthy_units = std::thread::scope(|s| {
+            // Lane 1 attaches first; its absorbs hold until lane 0's
+            // panicking worker has exited, so it is mid-scan throughout.
+            let healthy = s.spawn(|| {
+                let me = std::thread::current().id();
+                let (mut jobs, tallies) = lane_jobs(2, &signals, me, false);
+                let il = ShardInterleave {
+                    gate: &gate,
+                    lane: 1,
+                    fanout: &fanout,
+                    counters: meta.counters(),
+                };
+                let _session = gate.enter(1);
+                let units = fan_out(&feed, &mut jobs, 2, None, &il);
+                (units, tallies)
+            });
+            let t0 = Instant::now();
+            while fanout.live_lanes() == 0 && t0.elapsed() < Duration::from_secs(10) {
+                std::thread::yield_now();
+            }
+            // Lane 0: the lane thread holds its first absorb until the
+            // spawned worker has fed the other job both shards, panicked
+            // in that job's `end_scan`, and exited; the spawned worker
+            // starts only once the lane thread holds, so neither can
+            // take both jobs. Without the abort, the lane thread would
+            // spin on `Retry` for the dead worker's claimed job.
+            let me = std::thread::current().id();
+            let (mut jobs, tallies) = lane_jobs(2, &signals, me, true);
+            let il = ShardInterleave {
+                gate: &gate,
+                lane: 0,
+                fanout: &fanout,
+                counters: meta.counters(),
+            };
+            let outcome = {
+                let _session = gate.enter(0);
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    fan_out(&feed, &mut jobs, 2, None, &il)
+                }))
+            };
+            assert!(outcome.is_err(), "the boundary panic must propagate");
+            assert!(
+                signals.worker_exited.load(Ordering::Acquire),
+                "the panic came from end_scan"
+            );
+            let mut absorbed: Vec<usize> = tallies
+                .iter()
+                .map(|t| t.absorbed.load(Ordering::Acquire))
+                .collect();
+            absorbed.sort_unstable();
+            // The lane thread finished its held unit, then found its
+            // lane aborted instead of claiming the job's second shard.
+            assert_eq!(absorbed, [1, 2], "the panicking lane's feed was aborted");
+            healthy.join().expect("the healthy lane must not panic")
+        });
+        let (units, tallies) = healthy_units;
+        assert_eq!(units, 4, "the healthy lane granted every unit");
+        for tally in &tallies {
+            assert_eq!(tally.absorbed.load(Ordering::Acquire), 2);
+            assert_eq!(tally.ended.load(Ordering::Acquire), 1);
+        }
+        assert_eq!(fanout.live_lanes(), 0);
+        assert_eq!(fanout.remaining(), 0, "the aborted lane left the books");
+    }
 }

@@ -26,7 +26,7 @@
 //! |---|---|---|
 //! | 1 admission | `admission` | intake from the submission channel (queries, `!reload`), outcome-cache probe, coalesce-or-build disposition, the deferred-work backlog |
 //! | 2 alignment | `alignment` | pass-indexed join planning: which queued query splices into which in-flight scan (pass-2 joins pass-2), the splice itself (ledger join + zero-copy replay), the admission window |
-//! | 3 execution | `execution` | the sharded work-stealing fan-out ([`sc_stream::ShardedPass`] through the shared [`sc_stream::InterleavedCursor`], one gate unit per absorbed shard; a batch is one lane) with the epoch thread concurrently draining arrivals (non-blocking accept) |
+//! | 3 execution | `execution` | the sharded work-stealing fan-out ([`sc_stream::ShardedPass`] through the shared [`sc_stream::InterleavedCursor`], one gate unit per absorbed shard; a batch is one lane), scan boundary included (the worker that absorbs a job's last shard runs its `end_scan`), with the lane thread as one of the workers draining arrivals between its claims (non-blocking accept) |
 //! | 4 retirement | `retirement` | outcome construction (tenant- and generation-tagged), cache fill + eviction accounting, reply fan-out to the query and its coalesced followers |
 //! |  lifecycle | `tenants` | [`TenantRegistry`] / [`Tenant`] / [`RepositoryGeneration`]: named repositories, each a fingerprint-versioned generation chain behind its own hot swap, with per-tenant quotas and counters |
 //! |  fairness | `fairness` | the deficit-round-robin gate arbitrating tenant lanes' scan work per `(tenant, shard)` unit — a hot tenant cannot starve a cold one |
@@ -42,8 +42,9 @@
 //!
 //! * **Pass-aligned, non-blocking mid-stream admission** — a query
 //!   arriving while a scan is in flight is committed to that scan
-//!   immediately (the epoch thread drains arrivals *while the fan-out
-//!   runs*) and spliced at the scan boundary: its first logical pass aligns with
+//!   immediately (the lane thread, itself one of the fan-out's
+//!   workers, drains arrivals between its claims) and spliced at
+//!   the scan boundary: its first logical pass aligns with
 //!   whatever pass the group's scan carries — pass-2 joins pass-2 —
 //!   [`sc_stream::ScanLedger::join`] logs the pass against the scan's
 //!   tag with no second physical walk, and the joiner observes the

@@ -33,9 +33,11 @@ pub struct ServiceConfig {
     /// beyond this waits for a slot (the scheduler's half of
     /// backpressure).
     pub max_inflight: usize,
-    /// Worker threads fanning out per-query state updates within one
-    /// scan (`std::thread::scope`; the queries are disjoint state, so
-    /// the fan-out never touches accounting). `1` disables threading.
+    /// Workers fanning out per-query state updates and `end_scan`s
+    /// within one scan (the queries are disjoint state, so the fan-out
+    /// never touches accounting). The lane thread counts as one of
+    /// them; the rest are `std::thread::scope` threads, so `1` spawns
+    /// none.
     pub workers: usize,
     /// Bound of the submission queue; [`ServiceHandle::submit`] blocks
     /// once this many queries wait unadmitted (the client's half of
@@ -1050,9 +1052,11 @@ impl Service {
     /// scan is in flight, and the work-stealing worker pool fans the
     /// per-query state updates out shard by shard through the
     /// service-wide shared cursor, with one gate unit held per shard
-    /// (see [`execution::ShardInterleave`]). The lane is live on the
-    /// gate for the whole epoch; the session's drop forfeits its
-    /// unspent turn, releasing even if the epoch panics.
+    /// (see [`execution::ShardInterleave`]). Every job's `end_scan`
+    /// runs inside the fan-out (or, for a spliced joiner, right after
+    /// its replay), so the epoch ends when the splice does. The lane
+    /// is live on the gate for the whole epoch; the session's drop
+    /// forfeits its unspent turn, releasing even if the epoch panics.
     #[allow(clippy::too_many_arguments)]
     fn epoch<'g>(
         &self,
@@ -1155,9 +1159,6 @@ impl Service {
                 parked
             }
         };
-        for (_, fl) in state.inflight.iter_mut() {
-            fl.job.end_scan();
-        }
         state.inflight.extend(parked);
     }
 }

@@ -55,7 +55,8 @@ pub(crate) struct Tel {
     /// Stage 2 — the mid-stream splice / blocking drain at a scan
     /// boundary.
     pub stage_alignment: &'static StageHistogram,
-    /// Stage 3 — one scan's fan-out across the worker pool.
+    /// Stage 3 — one scan's fan-out across the worker pool, including
+    /// the `end_scan` work its workers run at the scan boundary.
     pub stage_execution: &'static StageHistogram,
     /// Stage 4 — retirement rounds that actually retired a job.
     pub stage_retirement: &'static StageHistogram,

@@ -366,3 +366,66 @@ fn uncoverable_instances_fail_cleanly() {
     let (solo_cover, _, _) = solo(&outcomes[1].spec, &system);
     assert_eq!(outcomes[1].cover, solo_cover);
 }
+
+#[test]
+fn repositories_smaller_than_one_shard_match_solo() {
+    // A repository with no sets yields a scan with zero shards, so no
+    // worker ever absorbs a last shard: every job's scan must still
+    // end. One with fewer sets than a shard runs the whole scan as a
+    // single unit per job.
+    let specs = [
+        QuerySpec::IterCover {
+            delta: 0.5,
+            seed: 3,
+        },
+        QuerySpec::PartialCover {
+            epsilon: 0.2,
+            delta: 0.5,
+            seed: 4,
+        },
+        QuerySpec::GreedyBaseline,
+    ];
+    let repositories = [
+        ("zero sets", SetSystem::from_sets(8, vec![])),
+        (
+            "three sets",
+            SetSystem::from_sets(8, vec![vec![0, 1, 2, 3], vec![3, 4, 5], vec![5, 6, 7]]),
+        ),
+    ];
+    for (name, system) in &repositories {
+        for workers in [1, 2] {
+            let service = ServiceBuilder::new()
+                .config(ServiceConfig {
+                    workers,
+                    ..Default::default()
+                })
+                .tenant("default", system.clone())
+                .build();
+            let (outcomes, _) = service.run_batch(&specs);
+            for outcome in &outcomes {
+                assert_matches_solo(
+                    outcome,
+                    system,
+                    &format!("{name}, run_batch, workers={workers}: {}", outcome.spec),
+                );
+            }
+        }
+        let service = ServiceBuilder::new()
+            .config(ServiceConfig::default())
+            .tenant("default", system.clone())
+            .build();
+        let (outcomes, _) = service.serve(|handle| {
+            let tickets: Vec<_> = specs
+                .iter()
+                .map(|&spec| handle.submit(spec).expect("open"))
+                .collect();
+            tickets
+                .into_iter()
+                .map(|t| t.wait().expect("served"))
+                .collect::<Vec<_>>()
+        });
+        for outcome in &outcomes {
+            assert_matches_solo(outcome, system, &format!("{name}, serve: {}", outcome.spec));
+        }
+    }
+}
