@@ -93,18 +93,9 @@ fn row_cells(mode: &str, queries: usize, metrics: &ServiceMetrics) -> Vec<String
         metrics.jobs.to_string(),
         metrics.mid_stream_admissions.to_string(),
         metrics.aligned_joins.to_string(),
-        format!(
-            "{:.2}",
-            metrics.queue_wait.percentile(50.0).as_secs_f64() * 1e3
-        ),
-        format!(
-            "{:.2}",
-            metrics.queue_wait.percentile(99.0).as_secs_f64() * 1e3
-        ),
-        format!(
-            "{:.1}",
-            metrics.latency.percentile(50.0).as_secs_f64() * 1e3
-        ),
+        format!("{:.2}", metrics.queue_wait.percentile_us(50.0) as f64 / 1e3),
+        format!("{:.2}", metrics.queue_wait.percentile_us(99.0) as f64 / 1e3),
+        format!("{:.1}", metrics.latency.percentile_us(50.0) as f64 / 1e3),
         format!(
             "{:.1}",
             queries as f64 / metrics.elapsed.as_secs_f64().max(1e-9)

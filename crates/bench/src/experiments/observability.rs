@@ -11,6 +11,7 @@
 //! an un-enabled site costs one relaxed atomic load, an enabled one a
 //! sharded relaxed fetch-add (counters), a clock read (spans), or a
 //! short mutex push (journal events, bounded per query lifecycle).
+//! The per-tenant query ledger is always on, so both phases pay it.
 //!
 //! The deterministic columns — scans, jobs, hits, coalesced, the
 //! journal event total, and the kernel-call total — are what the CI
@@ -37,7 +38,9 @@ fn counters() -> std::collections::BTreeMap<&'static str, u64> {
 }
 
 /// Runs `reps` fresh services over `specs`, returning the elapsed
-/// wall-clock and the last run's metrics. Every service (and its
+/// wall-clock and the last run's metrics, after checking that each
+/// service's query ledger counted exactly its run's completions, jobs,
+/// cache hits, followers, and shard grants. Every service (and its
 /// worker threads) is dropped inside the timed region, so thread-local
 /// kernel-counter batches have flushed by the time the caller reads
 /// the registry.
@@ -54,8 +57,20 @@ fn run_phase(
             .config(*cfg)
             .tenant("default", system.clone())
             .build();
-        let (_, metrics) = service.run_batch(specs);
-        last = Some(metrics);
+        let (_, m) = service.run_batch(specs);
+        let ledger = service.tenants().default_tenant().meta().counters();
+        let counted = [
+            m.queries_completed,
+            m.jobs,
+            m.cache_hits,
+            m.coalesced,
+            m.shard_grants,
+        ];
+        assert_eq!(
+            <[u64; 5]>::from(ledger.snapshot()),
+            counted.map(|n| n as u64)
+        );
+        last = Some(m);
     }
     (
         start.elapsed().as_secs_f64() * 1e3,
@@ -132,15 +147,9 @@ pub fn observability(scale: Scale) -> Table {
         assert_eq!(quiet.physical_scans, metrics.physical_scans);
         assert_eq!(quiet.jobs, metrics.jobs);
         assert_eq!(quiet.cache_hits, metrics.cache_hits);
-        // The ledger reconciles with the per-run metrics exactly: this
-        // process records nothing else while the gate is on.
         let delta = |name: &str| {
             after.get(name).copied().unwrap_or(0) - before.get(name).copied().unwrap_or(0)
         };
-        assert_eq!(
-            delta("sc_queries_completed_total"),
-            (reps * metrics.queries_completed) as u64
-        );
         assert_eq!(
             metrics.queries_completed,
             metrics.jobs + metrics.cache_hits + metrics.coalesced

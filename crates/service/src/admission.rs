@@ -18,8 +18,7 @@ use crate::job::{make_job, CoverJob};
 use crate::metrics::ServiceMetrics;
 use crate::query::{QueryOutcome, QuerySpec};
 use crate::service::Service;
-use crate::telemetry::tel;
-use crate::tenants::RepositoryGeneration;
+use crate::tenants::{LedgerEvent, RepositoryGeneration};
 use sc_setsystem::SetSystem;
 use sc_stream::SetStream;
 use sc_telemetry::EventKind;
@@ -259,7 +258,7 @@ impl Service {
             spec.to_string(),
             "coalesce keys must agree on the canonical spec"
         );
-        tel().coalesced.incr();
+        gen.tenant.counters().bump(LedgerEvent::Coalesced);
         sc_telemetry::event(EventKind::Coalesced, id, gen.id, 0, 0);
         leader.followers.push(Follower {
             slot,
@@ -303,15 +302,9 @@ impl Service {
             Some(sub.reply.clone()),
             inflight,
         ) {
-            metrics.coalesced += 1;
             return Admitted::Coalesced;
         }
-        if self.cache_enabled() {
-            metrics.cache_misses += 1;
-            tel().cache_misses.incr();
-        }
-        metrics.jobs += 1;
-        tel().jobs.incr();
+        self.count_job(gen);
         Admitted::Job(Inflight {
             id: sub.id,
             spec: sub.spec,
@@ -363,7 +356,6 @@ impl Service {
             inflight,
         );
         debug_assert!(coalesced, "the leader cannot vanish mid-disposal");
-        metrics.coalesced += 1;
         Ok(true)
     }
 
@@ -433,22 +425,27 @@ impl Service {
         }
     }
 
-    /// Records a cache hit's metrics (service counters + histograms,
-    /// plus the owning tenant's live counters).
+    /// Counts a fresh job (and, with the cache on, the miss that made
+    /// it) in the tenant's ledger.
+    pub(crate) fn count_job(&self, gen: &RepositoryGeneration) {
+        if self.cache_enabled() {
+            gen.tenant.counters().bump(LedgerEvent::CacheMiss);
+        }
+        gen.tenant.counters().bump(LedgerEvent::Job);
+    }
+
+    /// Records a cache hit: the run's latency histograms and the
+    /// tenant's ledger.
     pub(crate) fn deliver_cached(
         &self,
         gen: &RepositoryGeneration,
         outcome: &QueryOutcome,
         metrics: &mut ServiceMetrics,
     ) {
-        metrics.cache_hits += 1;
-        metrics.queries_completed += 1;
         metrics.queue_wait.record(outcome.queue_wait);
         metrics.latency.record(outcome.latency);
-        gen.tenant.counters().bump_cache_hit();
-        gen.tenant.counters().bump_completed();
-        tel().cache_hits.incr();
-        tel().completed.incr();
+        gen.tenant.counters().bump(LedgerEvent::CacheHit);
+        gen.tenant.counters().bump(LedgerEvent::Completed);
         sc_telemetry::event(EventKind::CacheHit, outcome.id, outcome.generation, 0, 0);
     }
 

@@ -29,8 +29,7 @@
 use crate::admission::{Admitted, Inflight, Intake, PendingArrival};
 use crate::metrics::ServiceMetrics;
 use crate::service::Service;
-use crate::telemetry::tel;
-use crate::tenants::RepositoryGeneration;
+use crate::tenants::{LedgerEvent, RepositoryGeneration};
 use sc_stream::{ScanLedger, SetStream, ShardedPass};
 use sc_telemetry::EventKind;
 use std::time::Instant;
@@ -144,8 +143,7 @@ pub(crate) fn splice_pending<'g>(
                         // then ends the scan as its riders did.
                         fl.job.absorb_shard(&mut feed.replay());
                         fl.job.end_scan();
-                        metrics.mid_stream_admissions += 1;
-                        tel().mid_stream_admissions.incr();
+                        gen.tenant.counters().bump(LedgerEvent::MidStreamAdmission);
                         sc_telemetry::event(
                             EventKind::Admitted,
                             fl.id,
@@ -158,8 +156,7 @@ pub(crate) fn splice_pending<'g>(
                             // possible: the group is past its first
                             // scan, and the joiner's pass 1 still
                             // rides the pass the group is on.
-                            metrics.aligned_joins += 1;
-                            tel().aligned_joins.incr();
+                            gen.tenant.counters().bump(LedgerEvent::AlignedJoin);
                             sc_telemetry::event(
                                 EventKind::AlignedJoin,
                                 fl.id,

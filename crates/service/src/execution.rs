@@ -30,7 +30,7 @@ use crate::admission::{Inflight, Intake, PendingArrival};
 use crate::fairness::FairGate;
 use crate::metrics::ServiceMetrics;
 use crate::service::Service;
-use crate::tenants::{RepositoryGeneration, TenantCounters};
+use crate::tenants::{LedgerEvent, RepositoryGeneration, TenantCounters};
 use sc_stream::{Claim, InterleavedCursor, LaneFeed, ShardedPass};
 use std::sync::Mutex;
 
@@ -67,8 +67,8 @@ impl ArrivalDrain<'_, '_> {
 /// Everything the fan-out needs to interleave this lane's scan with its
 /// neighbours': the machine-wide [`FairGate`] metering `(tenant,
 /// shard)` units, the shared [`InterleavedCursor`] registry every lane
-/// attaches its feed to, and the tenant's counters for the per-tenant
-/// `shard_grants` tally.
+/// attaches its feed to, and the tenant's ledger, which counts every
+/// granted unit.
 pub(crate) struct ShardInterleave<'x> {
     pub gate: &'x FairGate,
     pub lane: usize,
@@ -91,8 +91,8 @@ pub(crate) struct ShardInterleave<'x> {
 /// The calling lane thread is one of the `workers` and runs the same
 /// claim loop as the `workers − 1` scoped threads beside it; with
 /// `drain` set (serve mode) it drains arrivals into the pending buffer
-/// between its claims. Returns the number of units granted — every
-/// `(job, shard)` unit of the scan (a dying worker propagates its panic
+/// between its claims. Every granted unit is counted in the tenant's
+/// ledger as a shard grant (a dying worker propagates its panic
 /// instead of returning).
 ///
 /// Per-lane scheduling semantics (every job sees every shard of its
@@ -105,16 +105,15 @@ pub(crate) fn fan_out<'g>(
     workers: usize,
     mut drain: Option<&mut ArrivalDrain<'_, '_>>,
     il: &ShardInterleave<'_>,
-) -> usize {
+) {
     let shards = feed.num_shards();
     if shards == 0 {
         // An empty repository has no last shard to end the scan on.
         for (_, fl) in inflight.iter_mut() {
             fl.job.end_scan();
         }
-        return 0;
+        return;
     }
-    let units = inflight.len() * shards;
     let workers = workers.min(inflight.len());
     let lane_feed = il.fanout.attach(inflight.len(), shards);
     let slots: Vec<Mutex<&mut Inflight<'g>>> =
@@ -141,7 +140,7 @@ pub(crate) fn fan_out<'g>(
                     let mut fl = slots[consumer].lock().expect("job slot poisoned");
                     fl.job.absorb_shard(&mut feed.shard(shard));
                     drop(unit);
-                    il.counters.bump_shard_grant();
+                    il.counters.bump(LedgerEvent::ShardGrant);
                     if shard + 1 == shards {
                         fl.job.end_scan();
                     }
@@ -164,7 +163,6 @@ pub(crate) fn fan_out<'g>(
             }
         });
     });
-    units
 }
 
 #[cfg(test)]
@@ -316,8 +314,9 @@ mod tests {
         let gate = FairGate::new(2, 1, 4);
         let fanout = InterleavedCursor::new();
         let meta = TenantMeta::new(0, "execution_panic_probe", 1);
+        let healthy_meta = TenantMeta::new(1, "execution_healthy_lane", 1);
         let signals = Arc::new(Signals::default());
-        let healthy_units = std::thread::scope(|s| {
+        let healthy_tallies = std::thread::scope(|s| {
             // Lane 1 attaches first; its absorbs hold until lane 0's
             // panicking worker has exited, so it is mid-scan throughout.
             let healthy = s.spawn(|| {
@@ -327,11 +326,11 @@ mod tests {
                     gate: &gate,
                     lane: 1,
                     fanout: &fanout,
-                    counters: meta.counters(),
+                    counters: healthy_meta.counters(),
                 };
                 let _session = gate.enter(1);
-                let units = fan_out(&feed, &mut jobs, 2, None, &il);
-                (units, tallies)
+                fan_out(&feed, &mut jobs, 2, None, &il);
+                tallies
             });
             let t0 = Instant::now();
             while fanout.live_lanes() == 0 && t0.elapsed() < Duration::from_secs(10) {
@@ -372,9 +371,12 @@ mod tests {
             assert_eq!(absorbed, [1, 2], "the panicking lane's feed was aborted");
             healthy.join().expect("the healthy lane must not panic")
         });
-        let (units, tallies) = healthy_units;
-        assert_eq!(units, 4, "the healthy lane granted every unit");
-        for tally in &tallies {
+        assert_eq!(
+            healthy_meta.counters().get(LedgerEvent::ShardGrant),
+            4,
+            "the healthy lane granted every unit"
+        );
+        for tally in &healthy_tallies {
             assert_eq!(tally.absorbed.load(Ordering::Acquire), 2);
             assert_eq!(tally.ended.load(Ordering::Acquire), 1);
         }

@@ -34,7 +34,7 @@
 //! `service` orchestrates the stages (epoch loop, batch/serve entry
 //! points, the generation outer loop); `cache`, `metrics`, `query`,
 //! `protocol`, and `net` are the supporting surfaces (outcome cache
-//! with pluggable eviction, counters/histograms, the query grammar,
+//! with pluggable eviction, per-run metrics, the query grammar,
 //! the typed request/reply wire codec, and the event-driven TCP
 //! front-end with its readiness poller).
 //!
@@ -91,9 +91,14 @@
 //!   services keeps repositories apart through the content
 //!   fingerprint in the key plus a per-hit dimension cross-check (see
 //!   [`OutcomeCache`] for the collision caveat).
-//! * **Latency histograms** — [`ServiceMetrics::queue_wait`] and
+//! * **One ledger, one histogram** — every query-lifecycle event is
+//!   counted once, in its tenant's ledger ([`TenantCounters`], one
+//!   [`LedgerEvent`] per count); a run's [`ServiceMetrics`] counts are
+//!   that ledger's growth across the run, and [`expose`] renders it
+//!   live (`!stats` sums it over the tenants, `!metrics` labels it per
+//!   tenant). [`ServiceMetrics::queue_wait`] and
 //!   [`ServiceMetrics::latency`] are log-bucketed
-//!   [`LatencyHistogram`]s with p50/p90/p99 extraction, the numbers
+//!   [`HistogramSnapshot`]s with p50/p90/p99 extraction, the numbers
 //!   experiments E18/E20 report under load.
 //!
 //! Two guarantees, both pinned by integration tests:
@@ -138,13 +143,16 @@ mod telemetry;
 mod tenants;
 
 pub use cache::{CachedAnswer, EvictionPolicy, OutcomeCache};
-pub use metrics::{LatencyHistogram, ServiceMetrics};
+pub use metrics::ServiceMetrics;
 pub use net::{NetConfig, NetStats};
 pub use query::{QueryOutcome, QuerySpec};
+pub use sc_telemetry::HistogramSnapshot;
 pub use service::{
     QueryTicket, ReloadTicket, Service, ServiceBuilder, ServiceClosed, ServiceConfig,
     ServiceHandle, TrySubmitError,
 };
+pub use telemetry::{expose, Surface};
 pub use tenants::{
-    RepositoryGeneration, RepositoryStore, Tenant, TenantCounters, TenantMeta, TenantRegistry,
+    LedgerEvent, RepositoryGeneration, RepositoryStore, Tenant, TenantCounters, TenantMeta,
+    TenantRegistry,
 };

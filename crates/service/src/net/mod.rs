@@ -25,6 +25,8 @@ pub use poller::{NetConfig, NetStats};
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{Reply, Request};
 use crate::service::{QueryTicket, ReloadTicket, Service, ServiceHandle, TrySubmitError};
+use crate::telemetry::{expose, Surface};
+use crate::tenants::TenantRegistry;
 use std::io::{BufRead, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -34,11 +36,11 @@ use std::time::{Duration, Instant};
 /// mid-reply can't turn the flush into a broken-pipe error. A no-op
 /// when telemetry is disabled, so library tests and batch runs stay
 /// quiet.
-pub(crate) fn log_stats(trigger: &str) {
+pub(crate) fn log_stats(tenants: &TenantRegistry, trigger: &str) {
     if sc_telemetry::enabled() {
         eprintln!(
             "sc_service stats trigger={trigger} {}",
-            sc_telemetry::stats_line()
+            expose(tenants, Surface::Stats).join(" ")
         );
     }
 }
@@ -152,15 +154,15 @@ pub(crate) fn dispatch(req: Request, conn: &mut ServiceHandle, blocking: bool) -
         Request::Ping => Action::Reply(Reply::Pong),
         Request::Quit => Action::Quit,
         Request::Shutdown => Action::Shutdown,
-        // The telemetry verbs snapshot the live registry as they
-        // arrive — a live view, even while queries pipelined behind
-        // them are still scanning — and the reply is still delivered
-        // in request order like every other response.
+        // The telemetry verbs snapshot the live registry and ledgers as
+        // they arrive — a live view, even while queries pipelined
+        // behind them are still scanning — and the reply is still
+        // delivered in request order like every other response.
         Request::Stats => Action::Reply(Reply::Stats {
-            stats: sc_telemetry::stats_line(),
+            stats: expose(conn.tenants(), Surface::Stats).join(" "),
         }),
         Request::Metrics => Action::Reply(Reply::Metrics {
-            body: sc_telemetry::prometheus(),
+            body: expose(conn.tenants(), Surface::Metrics),
         }),
         Request::Trace { id } => Action::Reply(Reply::Trace {
             id,
@@ -177,9 +179,8 @@ pub(crate) fn dispatch(req: Request, conn: &mut ServiceHandle, blocking: bool) -
             None => Action::Reply(Reply::error(format!("unknown repository {repo:?}"))),
         },
         // `!repos` lists the served tenants — name, current
-        // generation, fingerprint, quota, and the live traffic
-        // counters (always on, so this answers even with telemetry
-        // disabled).
+        // generation, fingerprint, quota, and the live ledger counts
+        // (always on, so this answers even with telemetry disabled).
         Request::Repos => {
             let registry = conn.tenants();
             let listing = registry
@@ -345,7 +346,7 @@ where
                     // flush the snapshot to the serve log so the
                     // pre-swap numbers are on record before the new
                     // generation's traffic blends in.
-                    log_stats("reload");
+                    log_stats(handle.tenants(), "reload");
                 }
             }
             output.flush()?;
@@ -397,6 +398,7 @@ pub fn serve_tcp_with(
 mod tests {
     use super::*;
     use crate::service::ServiceBuilder;
+    use crate::tenants::LedgerEvent;
     use sc_setsystem::gen;
     use std::io::{BufRead, BufReader, Write};
 
@@ -528,7 +530,17 @@ mod tests {
 
             let stats = next();
             assert!(stats.starts_with("ok stats enabled=1 "), "{stats:?}");
-            assert!(stats.contains("sc_queries_submitted_total="), "{stats:?}");
+            // The ledger is this service's own, so the answered query
+            // is counted exactly.
+            let ledger = service.tenants().default_tenant().meta().counters();
+            for (event, name) in [
+                (LedgerEvent::Submitted, "sc_queries_submitted_total"),
+                (LedgerEvent::Completed, "sc_queries_completed_total"),
+            ] {
+                assert_eq!(ledger.get(event), 1);
+                let field = format!("{name}=1");
+                assert!(stats.split(' ').any(|f| f == field), "{stats:?}");
+            }
 
             let header = next();
             let n: usize = header
@@ -538,6 +550,7 @@ mod tests {
             assert!(n > 0);
             let body: Vec<String> = (0..n).map(|_| next()).collect();
             assert!(body.iter().any(|l| l.starts_with("sc_telemetry_enabled 1")));
+            assert!(body.contains(&r#"sc_queries_completed_total{tenant="default"} 1"#.into()));
             for l in &body {
                 let mut it = l.split(' ');
                 assert!(it.next().is_some_and(|f| !f.is_empty()), "{l:?}");

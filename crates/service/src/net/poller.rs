@@ -444,7 +444,7 @@ impl Session {
                         // A hot swap is a stats window boundary: put
                         // the pre-swap numbers on the serve log before
                         // the new generation's traffic blends in.
-                        log_stats("reload");
+                        log_stats(self.handle.tenants(), "reload");
                         rendered
                     }
                 },
@@ -514,12 +514,12 @@ pub(super) fn event_loop(
             progress |= s.tick(cfg, &mut stats, &mut shutdown_now);
             if s.done() {
                 let _ = s.conn.shutdown(Shutdown::Both);
-                sessions.swap_remove(i);
                 // Every connection end — clean EOF, quit, shutdown, or
                 // a peer that vanished mid-reply — flushes the stats
                 // snapshot to the serve log, so a load wave's numbers
                 // land even when the server keeps running.
-                log_stats("disconnect");
+                log_stats(s.handle.tenants(), "disconnect");
+                sessions.swap_remove(i);
                 progress = true;
             } else {
                 i += 1;

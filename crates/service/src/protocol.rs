@@ -279,13 +279,14 @@ pub enum Reply {
     },
     /// The `!stats` snapshot (one line of `key=value` counters).
     Stats {
-        /// The rendered stats line ([`sc_telemetry::stats_line`]).
+        /// The rendered stats line ([`Surface::Stats`](crate::Surface::Stats)).
         stats: String,
     },
     /// The `!metrics` listing: a framing header then one line per
-    /// counter.
+    /// sample.
     Metrics {
-        /// `name value` body lines.
+        /// `name value` or `name{labels} value` body lines
+        /// ([`Surface::Metrics`](crate::Surface::Metrics)).
         body: Vec<String>,
     },
     /// The `!trace` timeline: a framing header then one line per

@@ -5,17 +5,16 @@
 //! retirement builds the [`QueryOutcome`] (tagged with the repository
 //! generation it ran on), populates the outcome cache exactly once —
 //! however many followers coalesced onto it — counts any eviction the
-//! insert caused against the run's metrics, and delivers: the reply
+//! insert caused in the tenant's ledger, and delivers: the reply
 //! channel in serve mode, the `sink` callback in batch mode, then one
 //! fanned reply per follower under the follower's own id and timing.
 
 use crate::admission::Inflight;
-use crate::cache::{CachedAnswer, EvictionPolicy};
+use crate::cache::CachedAnswer;
 use crate::metrics::ServiceMetrics;
 use crate::query::QueryOutcome;
 use crate::service::Service;
-use crate::telemetry::tel;
-use crate::tenants::RepositoryGeneration;
+use crate::tenants::{LedgerEvent, RepositoryGeneration};
 use sc_bitset::BitSet;
 use sc_telemetry::EventKind;
 
@@ -29,6 +28,7 @@ impl Service {
         metrics: &mut ServiceMetrics,
         mut sink: impl FnMut(usize, QueryOutcome),
     ) {
+        let counters = gen.tenant.counters();
         let mut i = 0;
         while i < inflight.len() {
             if inflight[i].1.job.wants_scan() {
@@ -78,19 +78,11 @@ impl Service {
                         space_words: outcome.space_words,
                     },
                 );
-                metrics.evictions += evicted;
-                tel().cache_evictions.add(evicted as u64);
-                match self.cache().policy() {
-                    EvictionPolicy::Fifo => metrics.fifo_evictions += evicted,
-                    EvictionPolicy::Lru => metrics.lru_evictions += evicted,
-                }
+                counters.add(LedgerEvent::CapacityEviction, evicted as u64);
             }
-            metrics.queries_completed += 1;
             metrics.queue_wait.record(outcome.queue_wait);
             metrics.latency.record(outcome.latency);
-            gen.tenant.counters().bump_job();
-            gen.tenant.counters().bump_completed();
-            tel().completed.incr();
+            counters.bump(LedgerEvent::Completed);
             sc_telemetry::event(
                 EventKind::Retired,
                 fl.id,
@@ -113,12 +105,9 @@ impl Service {
                     coalesced: true,
                     ..outcome.clone()
                 };
-                metrics.queries_completed += 1;
                 metrics.queue_wait.record(fanned.queue_wait);
                 metrics.latency.record(fanned.latency);
-                gen.tenant.counters().bump_coalesced();
-                gen.tenant.counters().bump_completed();
-                tel().completed.incr();
+                counters.bump(LedgerEvent::Completed);
                 sc_telemetry::event(
                     EventKind::Retired,
                     fanned.id,

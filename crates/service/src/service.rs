@@ -17,7 +17,7 @@ use crate::fairness::FairGate;
 use crate::metrics::ServiceMetrics;
 use crate::query::{QueryOutcome, QuerySpec};
 use crate::telemetry::tel;
-use crate::tenants::{RepositoryGeneration, Tenant, TenantMeta, TenantRegistry};
+use crate::tenants::{LedgerEvent, RepositoryGeneration, Tenant, TenantMeta, TenantRegistry};
 use sc_setsystem::SetSystem;
 use sc_stream::{InterleavedCursor, ScanLedger, SetStream};
 use sc_telemetry::EventKind;
@@ -240,7 +240,7 @@ impl ServiceHandle {
     pub fn submit(&self, spec: QuerySpec) -> Result<QueryTicket, ServiceClosed> {
         let (reply, rx) = mpsc::sync_channel(1);
         let id = self.counter.fetch_add(1, Ordering::Relaxed);
-        tel().submitted.incr();
+        self.count_submitted();
         // The serving generation is the scheduler's business; the
         // submit site tags generation 0 (= not yet assigned).
         sc_telemetry::event(EventKind::Submitted, id, 0, 0, 0);
@@ -263,8 +263,8 @@ impl ServiceHandle {
     /// [`TrySubmitError::Busy`] for the caller to turn into
     /// `err msg=busy`.
     ///
-    /// A shed attempt leaves no telemetry footprint (no `submitted`
-    /// count, no journal event) — the query never entered the
+    /// A shed attempt leaves no footprint (no `submitted` count in the
+    /// tenant's ledger, no journal event) — the query never entered the
     /// scheduler; the front-end's own shed counter is the record.
     ///
     /// # Errors
@@ -281,7 +281,7 @@ impl ServiceHandle {
             reply,
         })) {
             Ok(()) => {
-                tel().submitted.incr();
+                self.count_submitted();
                 sc_telemetry::event(EventKind::Submitted, id, 0, 0, 0);
                 Ok(QueryTicket { id, rx })
             }
@@ -306,6 +306,12 @@ impl ServiceHandle {
             .send(Submission::Reload(ReloadRequest { system, reply }))
             .map_err(|_| ServiceClosed)?;
         Ok(ReloadTicket { rx })
+    }
+
+    /// Counts one submission in the target tenant's ledger.
+    fn count_submitted(&self) {
+        let tenant = self.registry.tenant(self.route);
+        tenant.meta().counters().bump(LedgerEvent::Submitted);
     }
 
     /// A handle targeting the named tenant (`None` if no tenant of
@@ -657,9 +663,16 @@ impl Service {
     /// and — with [`ServiceConfig::coalesce`] — repeats of an
     /// *in-flight* spec attach to its job, neither occupying a slot).
     /// Outcomes come back in submission order.
+    ///
+    /// The metrics' query counts are the growth of the default tenant's
+    /// ledger across the call, so they are exact only while no other
+    /// `run_batch` or [`serve`](Service::serve) drives that tenant at
+    /// the same time.
     pub fn run_batch(&self, specs: &[QuerySpec]) -> (Vec<QueryOutcome>, ServiceMetrics) {
         let start = Instant::now();
         let gen = self.registry.default_tenant().store().current();
+        let counters = gen.tenant.counters();
+        let before = counters.totals();
         let root = SetStream::new(&gen.system);
         let ledger = ScanLedger::new();
         let mut outcomes: Vec<Option<QueryOutcome>> = (0..specs.len()).map(|_| None).collect();
@@ -675,9 +688,9 @@ impl Service {
             gate: &gate,
             lane: 0,
             fanout: &fanout,
-            counters: gen.tenant.counters(),
+            counters,
         };
-        tel().submitted.add(specs.len() as u64);
+        counters.add(LedgerEvent::Submitted, specs.len() as u64);
         if sc_telemetry::enabled() {
             for slot in 0..specs.len() {
                 sc_telemetry::event(EventKind::Submitted, slot as u64, gen.id, 0, 0);
@@ -725,7 +738,6 @@ impl Service {
                             &mut state.inflight,
                         );
                         debug_assert!(attached, "the leader cannot vanish mid-admission");
-                        metrics.coalesced += 1;
                     }
                     next += 1;
                     continue;
@@ -751,15 +763,9 @@ impl Service {
                     None,
                     &mut state.inflight,
                 ) {
-                    metrics.coalesced += 1;
                     continue;
                 }
-                if self.cache_enabled() {
-                    metrics.cache_misses += 1;
-                    tel().cache_misses.incr();
-                }
-                metrics.jobs += 1;
-                tel().jobs.incr();
+                self.count_job(&gen);
                 sc_telemetry::event(
                     EventKind::Admitted,
                     slot as u64,
@@ -811,6 +817,7 @@ impl Service {
                 &il,
             );
         }
+        metrics.count_ledger(&before, &counters.totals(), self.cache.policy());
         metrics.physical_scans = ledger.physical_scans();
         metrics.elapsed = start.elapsed();
         (
@@ -847,6 +854,11 @@ impl Service {
     /// [`ServiceHandle::reload`] hot-swaps the handle's tenant between
     /// epoch groups with in-flight queries draining on their original
     /// generation, other tenants untouched.
+    ///
+    /// Each lane's query counts are the growth of its tenant's ledger
+    /// across the lane's life, so they are exact only while no other
+    /// `serve` or [`run_batch`](Service::run_batch) drives the same
+    /// tenants at the same time.
     pub fn serve<R, F>(&self, clients: F) -> (R, ServiceMetrics)
     where
         F: FnOnce(ServiceHandle) -> R,
@@ -897,6 +909,8 @@ impl Service {
         fanout: &InterleavedCursor,
     ) -> ServiceMetrics {
         let tenant = self.registry.tenant(lane);
+        let counters = tenant.meta().counters();
+        let before = counters.totals();
         let start = Instant::now();
         let mut metrics = ServiceMetrics::default();
         let mut physical = 0usize;
@@ -913,17 +927,15 @@ impl Service {
             match intake.reload.take() {
                 Some(req) => {
                     let (fresh, reaped) = self.install_counted(tenant, req.system);
-                    metrics.reloads += 1;
-                    metrics.evictions += reaped;
-                    metrics.reload_evictions += reaped;
-                    tel().reloads.incr();
-                    tel().cache_evictions.add(reaped as u64);
+                    counters.bump(LedgerEvent::Reload);
+                    counters.add(LedgerEvent::ReloadEviction, reaped as u64);
                     // The requester may have dropped its ticket.
                     let _ = req.reply.send(fresh.id);
                 }
                 None => break,
             }
         }
+        metrics.count_ledger(&before, &counters.totals(), self.cache.policy());
         metrics.physical_scans = physical;
         metrics.elapsed = start.elapsed();
         metrics
@@ -1108,8 +1120,7 @@ impl Service {
             None => {
                 // Batch mode: a pure fan-out, no mid-stream arrivals.
                 let _span = tel().stage_execution.span();
-                metrics.shard_grants +=
-                    execution::fan_out(&feed, &mut state.inflight, self.cfg.workers, None, il);
+                execution::fan_out(&feed, &mut state.inflight, self.cfg.workers, None, il);
                 Vec::new()
             }
             Some(intake) => {
@@ -1118,7 +1129,7 @@ impl Service {
                 // splice lands the rest at the boundary.
                 let scan_tag = ledger.scan_index();
                 let mut pending = Vec::new();
-                let units = {
+                {
                     let _span = tel().stage_execution.span();
                     let mut drain = execution::ArrivalDrain {
                         service: self,
@@ -1134,9 +1145,8 @@ impl Service {
                         self.cfg.workers,
                         Some(&mut drain),
                         il,
-                    )
-                };
-                metrics.shard_grants += units;
+                    );
+                }
                 let parked = {
                     let _span = tel().stage_alignment.span();
                     alignment::splice_pending(

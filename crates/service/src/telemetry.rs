@@ -1,44 +1,23 @@
-//! Cached handles into the process-wide [`sc_telemetry`] registry.
+//! The service's live telemetry: cached handles into the process-wide
+//! [`sc_telemetry`] registry, and the `!stats` / `!metrics` text
+//! surfaces.
 //!
-//! Counter and stage lookups take the registry lock; the hot paths must
-//! not. This module resolves every name the service emits exactly once
-//! (behind a `OnceLock`) and hands the pipeline `'static` references,
-//! so an instrumentation site costs one relaxed gate load when
-//! telemetry is off and one sharded relaxed fetch-add when it is on.
-//!
-//! The counters mirror the per-run [`ServiceMetrics`] fields onto the
-//! process-wide live surface (`!stats` / `!metrics`): `ServiceMetrics`
-//! stays the exact per-run accounting experiments assert on, while
-//! these counters aggregate across every run, generation, and
-//! connection in the process, scrapeable mid-load.
-//!
-//! [`ServiceMetrics`]: crate::ServiceMetrics
+//! Stage and counter lookups take the registry lock; the hot paths
+//! must not. [`tel`] resolves every name the pipeline records exactly
+//! once (behind a `OnceLock`) and hands out `'static` references, so an
+//! instrumentation site costs one relaxed gate load when telemetry is
+//! off. Query-lifecycle events are not counted here: each tenant's
+//! query ledger ([`TenantCounters`](crate::TenantCounters)) is their
+//! one source of truth, and [`expose`] renders it next to the
+//! registry.
 
-use sc_telemetry::{Counter, StageHistogram};
+use crate::tenants::{LedgerEvent, Tenant, TenantRegistry};
+use sc_telemetry::{Counter, StageHistogram, BUCKETS};
 use std::sync::OnceLock;
 
-/// Every counter and stage histogram the service pipeline touches.
+/// The stage histograms the pipeline records and the front door's
+/// counters.
 pub(crate) struct Tel {
-    /// Mirrors submissions entering the service (batch slots included).
-    pub submitted: &'static Counter,
-    /// Mirrors [`ServiceMetrics::queries_completed`](crate::ServiceMetrics::queries_completed).
-    pub completed: &'static Counter,
-    /// Mirrors [`ServiceMetrics::jobs`](crate::ServiceMetrics::jobs).
-    pub jobs: &'static Counter,
-    /// Mirrors [`ServiceMetrics::cache_hits`](crate::ServiceMetrics::cache_hits).
-    pub cache_hits: &'static Counter,
-    /// Mirrors [`ServiceMetrics::cache_misses`](crate::ServiceMetrics::cache_misses).
-    pub cache_misses: &'static Counter,
-    /// Mirrors [`ServiceMetrics::coalesced`](crate::ServiceMetrics::coalesced).
-    pub coalesced: &'static Counter,
-    /// Mirrors [`ServiceMetrics::mid_stream_admissions`](crate::ServiceMetrics::mid_stream_admissions).
-    pub mid_stream_admissions: &'static Counter,
-    /// Mirrors [`ServiceMetrics::aligned_joins`](crate::ServiceMetrics::aligned_joins).
-    pub aligned_joins: &'static Counter,
-    /// Mirrors [`ServiceMetrics::reloads`](crate::ServiceMetrics::reloads).
-    pub reloads: &'static Counter,
-    /// Mirrors [`ServiceMetrics::evictions`](crate::ServiceMetrics::evictions) (all causes).
-    pub cache_evictions: &'static Counter,
     /// Connections the TCP front-end accepted into sessions
     /// ([`NetStats::accepted`](crate::NetStats::accepted)).
     pub net_accepted: &'static Counter,
@@ -52,8 +31,7 @@ pub(crate) struct Tel {
     pub net_buffer_overflows: &'static Counter,
     /// Stage 1 — boundary admission work (excludes idle channel waits).
     pub stage_admission: &'static StageHistogram,
-    /// Stage 2 — the mid-stream splice / blocking drain at a scan
-    /// boundary.
+    /// Stage 2 — the mid-stream splice at a scan boundary.
     pub stage_alignment: &'static StageHistogram,
     /// Stage 3 — one scan's fan-out across the worker pool, including
     /// the `end_scan` work its workers run at the scan boundary.
@@ -66,16 +44,6 @@ pub(crate) struct Tel {
 pub(crate) fn tel() -> &'static Tel {
     static TEL: OnceLock<Tel> = OnceLock::new();
     TEL.get_or_init(|| Tel {
-        submitted: sc_telemetry::counter("sc_queries_submitted_total"),
-        completed: sc_telemetry::counter("sc_queries_completed_total"),
-        jobs: sc_telemetry::counter("sc_query_jobs_total"),
-        cache_hits: sc_telemetry::counter("sc_cache_hits_total"),
-        cache_misses: sc_telemetry::counter("sc_cache_misses_total"),
-        coalesced: sc_telemetry::counter("sc_coalesced_total"),
-        mid_stream_admissions: sc_telemetry::counter("sc_mid_stream_admissions_total"),
-        aligned_joins: sc_telemetry::counter("sc_aligned_joins_total"),
-        reloads: sc_telemetry::counter("sc_reloads_total"),
-        cache_evictions: sc_telemetry::counter("sc_cache_evictions_total"),
         net_accepted: sc_telemetry::counter("sc_net_accepted_total"),
         net_shed: sc_telemetry::counter("sc_net_shed_total"),
         net_buffer_overflows: sc_telemetry::counter("sc_net_buffer_overflows_total"),
@@ -84,4 +52,160 @@ pub(crate) fn tel() -> &'static Tel {
         stage_execution: sc_telemetry::stage("execution"),
         stage_retirement: sc_telemetry::stage("retirement"),
     })
+}
+
+/// The two text surfaces [`expose`] renders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Surface {
+    /// `!stats`: `key=value` fields for one line — the registry's
+    /// counters, the ledger summed over the tenants, the journal
+    /// totals, and per-stage observation counts with p50/p90/p99 in µs.
+    Stats,
+    /// `!metrics`: Prometheus-style lines — the registry's counters,
+    /// the ledger as one `name{tenant="…"} value` series per tenant,
+    /// the journal as gauges, and every stage histogram as cumulative
+    /// `sc_stage_<name>_us_bucket{le="…"}` lines plus `_sum` and
+    /// `_count`.
+    Metrics,
+}
+
+/// Renders one text surface from the [`sc_telemetry`] registry plus
+/// the tenants' query ledgers: the `!stats` fields (join them with
+/// spaces for the one line) or the `!metrics` lines.
+///
+/// # Examples
+///
+/// ```
+/// use sc_service::{expose, ServiceBuilder, Surface};
+///
+/// let service = ServiceBuilder::new()
+///     .tenant("a-b", sc_setsystem::gen::planted(64, 64, 4, 1).system)
+///     .build();
+/// let stats = expose(service.tenants(), Surface::Stats).join(" ");
+/// assert!(stats.contains(" sc_queries_completed_total=0"));
+/// let metrics = expose(service.tenants(), Surface::Metrics);
+/// assert!(metrics.contains(&r#"sc_query_jobs_total{tenant="a-b"} 0"#.to_string()));
+/// ```
+pub fn expose(tenants: &TenantRegistry, surface: Surface) -> Vec<String> {
+    let stats = surface == Surface::Stats;
+    let pick = |stats_name, metrics_name| if stats { stats_name } else { metrics_name };
+    let mut out = Vec::new();
+    let mut sample = |name: &str, value: u64| {
+        out.push(format!("{name}{}{value}", pick("=", " ")));
+    };
+    let enabled = u64::from(sc_telemetry::enabled());
+    sample(pick("enabled", "sc_telemetry_enabled"), enabled);
+    for (name, value) in sc_telemetry::registered_counters() {
+        sample(name, value);
+    }
+    for event in LedgerEvent::ALL {
+        let name = event.metric_name();
+        let count = |t: &Tenant| t.meta().counters().get(event);
+        if stats {
+            sample(name, tenants.iter().map(count).sum());
+            continue;
+        }
+        for t in tenants.iter() {
+            let tenant = label_value(t.name());
+            sample(&format!("{name}{{tenant=\"{tenant}\"}}"), count(t));
+        }
+    }
+    let (events, retained) = sc_telemetry::journal_stats();
+    sample(pick("journal_events", "sc_journal_events_total"), events);
+    sample(
+        pick("journal_retained", "sc_journal_retained"),
+        retained as u64,
+    );
+    for (name, snap) in sc_telemetry::registered_stages() {
+        if stats {
+            sample(&format!("stage_{name}_n"), snap.count);
+            for p in [50u32, 90, 99] {
+                let value = snap.percentile_us(f64::from(p));
+                sample(&format!("stage_{name}_p{p}_us"), value);
+            }
+            continue;
+        }
+        // Bucket `i` holds durations below `2^i` µs; the last bucket
+        // is the overflow that only `+Inf` bounds.
+        let bucket = |le: &str| format!("sc_stage_{name}_us_bucket{{le=\"{le}\"}}");
+        let mut cumulative = 0;
+        for (i, &n) in snap.buckets[..BUCKETS - 1].iter().enumerate() {
+            cumulative += n;
+            sample(&bucket(&(1u64 << i).to_string()), cumulative);
+        }
+        sample(&bucket("+Inf"), snap.count);
+        sample(&format!("sc_stage_{name}_us_sum"), snap.sum_us);
+        sample(&format!("sc_stage_{name}_us_count"), snap.count);
+    }
+    out
+}
+
+/// Escapes a Prometheus label value: backslash, double quote, and
+/// newline.
+fn label_value(raw: &str) -> String {
+    raw.replace('\\', r"\\")
+        .replace('"', "\\\"")
+        .replace('\n', r"\n")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tenants::TenantMeta;
+    use sc_setsystem::SetSystem;
+
+    fn registry(names: &[&str]) -> std::sync::Arc<TenantRegistry> {
+        TenantRegistry::build(
+            names
+                .iter()
+                .enumerate()
+                .map(|(i, name)| {
+                    let system = SetSystem::from_sets(2, vec![vec![0, 1]]);
+                    Tenant::new(TenantMeta::new(i as u64, name, 4), system)
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn label_values_escape_quotes_backslashes_and_newlines() {
+        assert_eq!(label_value(r#"a"b\c"#), r#"a\"b\\c"#);
+        assert_eq!(label_value("x\ny"), r"x\ny");
+        let reg = registry(&[r#"q"\t"#]);
+        reg.tenant(0).meta().counters().add(LedgerEvent::Job, 3);
+        let lines = expose(&reg, Surface::Metrics);
+        assert!(
+            lines.contains(&r#"sc_query_jobs_total{tenant="q\"\\t"} 3"#.to_string()),
+            "{lines:?}"
+        );
+    }
+
+    #[test]
+    fn stage_buckets_are_cumulative_and_end_at_the_count() {
+        let _g = sc_telemetry::test_hold();
+        let was = sc_telemetry::enabled();
+        sc_telemetry::set_enabled(true);
+        let stage = sc_telemetry::stage("test_expose_buckets");
+        for us in [0u64, 1, 3, 900, 900, 1 << 45] {
+            stage.record_us(us);
+        }
+        let lines = expose(&registry(&["default"]), Surface::Metrics);
+        sc_telemetry::set_enabled(was);
+        let value = |l: &String| l.rsplit_once(' ').unwrap().1.parse::<u64>().unwrap();
+        let buckets: Vec<&String> = lines
+            .iter()
+            .filter(|l| l.starts_with("sc_stage_test_expose_buckets_us_bucket{"))
+            .collect();
+        assert_eq!(buckets.len(), BUCKETS);
+        assert!(buckets.windows(2).all(|w| value(w[0]) <= value(w[1])));
+        let last = buckets.last().unwrap();
+        assert!(last.contains(r#"le="+Inf""#));
+        let count = lines
+            .iter()
+            .find(|l| l.starts_with("sc_stage_test_expose_buckets_us_count "))
+            .unwrap();
+        assert_eq!(value(last), value(count));
+        assert!(value(count) >= 6);
+        assert!(!lines.iter().any(|l| l.contains("_us_p50")));
+    }
 }

@@ -25,110 +25,122 @@
 
 use crate::cache::OutcomeCache;
 use sc_setsystem::SetSystem;
-use sc_telemetry::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Always-on per-tenant traffic counters (relaxed atomics, a few
-/// nanoseconds per bump), the numbers `!repos` reports live. Each
-/// tenant additionally mirrors them onto the process-wide
-/// [`sc_telemetry`] registry (`sc_tenant_<name>_*_total`, visible in
-/// `!metrics`) — those mirrors are gated on the telemetry switch; these
-/// atomics are not, so `!repos` answers even on a quiet server.
-pub struct TenantCounters {
-    completed: AtomicU64,
-    jobs: AtomicU64,
-    cache_hits: AtomicU64,
-    coalesced: AtomicU64,
-    shard_grants: AtomicU64,
-    tel_completed: &'static Counter,
-    tel_jobs: &'static Counter,
-    tel_cache_hits: &'static Counter,
-    tel_coalesced: &'static Counter,
-    tel_shard_grants: &'static Counter,
+/// One query-lifecycle event the tenant ledger ([`TenantCounters`])
+/// counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LedgerEvent {
+    /// A query entered the service (batch slots included).
+    Submitted,
+    /// A query was answered: a job's retirement, each of its coalesced
+    /// followers, or a cache hit.
+    Completed,
+    /// A query was admitted as a fresh job (counted at admission).
+    Job,
+    /// A query was answered from the outcome cache in zero scans.
+    CacheHit,
+    /// A query missed an enabled cache and became a job.
+    CacheMiss,
+    /// A query attached to an identical in-flight job as a follower.
+    Coalesced,
+    /// A job spliced into a scan already in flight.
+    MidStreamAdmission,
+    /// The subset of mid-stream admissions that joined a later pass of
+    /// their epoch group.
+    AlignedJoin,
+    /// One `(tenant, shard)` work unit absorbed through the fan-out.
+    ShardGrant,
+    /// A repository hot swap performed by the tenant's serve lane.
+    Reload,
+    /// Outcome-cache entries evicted by the capacity bound on insert.
+    CapacityEviction,
+    /// Outcome-cache entries reaped with a generation a reload retired.
+    ReloadEviction,
 }
 
-impl std::fmt::Debug for TenantCounters {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (completed, jobs, cache_hits, coalesced, shard_grants) = self.snapshot();
-        f.debug_struct("TenantCounters")
-            .field("completed", &completed)
-            .field("jobs", &jobs)
-            .field("cache_hits", &cache_hits)
-            .field("coalesced", &coalesced)
-            .field("shard_grants", &shard_grants)
-            .finish()
+impl LedgerEvent {
+    /// Every event, in ledger order.
+    pub(crate) const ALL: [LedgerEvent; 12] = [
+        LedgerEvent::Submitted,
+        LedgerEvent::Completed,
+        LedgerEvent::Job,
+        LedgerEvent::CacheHit,
+        LedgerEvent::CacheMiss,
+        LedgerEvent::Coalesced,
+        LedgerEvent::MidStreamAdmission,
+        LedgerEvent::AlignedJoin,
+        LedgerEvent::ShardGrant,
+        LedgerEvent::Reload,
+        LedgerEvent::CapacityEviction,
+        LedgerEvent::ReloadEviction,
+    ];
+
+    /// The exposition name of the event's counter (`!stats` sums it
+    /// over the tenants, `!metrics` labels it per tenant).
+    pub(crate) fn metric_name(self) -> &'static str {
+        match self {
+            LedgerEvent::Submitted => "sc_queries_submitted_total",
+            LedgerEvent::Completed => "sc_queries_completed_total",
+            LedgerEvent::Job => "sc_query_jobs_total",
+            LedgerEvent::CacheHit => "sc_cache_hits_total",
+            LedgerEvent::CacheMiss => "sc_cache_misses_total",
+            LedgerEvent::Coalesced => "sc_coalesced_total",
+            LedgerEvent::MidStreamAdmission => "sc_mid_stream_admissions_total",
+            LedgerEvent::AlignedJoin => "sc_aligned_joins_total",
+            LedgerEvent::ShardGrant => "sc_shard_grants_total",
+            LedgerEvent::Reload => "sc_reloads_total",
+            LedgerEvent::CapacityEviction => "sc_capacity_evictions_total",
+            LedgerEvent::ReloadEviction => "sc_reload_evictions_total",
+        }
     }
 }
 
-/// Sanitises a tenant name into a telemetry metric segment
-/// (`[a-zA-Z0-9_]`), so `!metrics` exposition lines stay one
-/// `name value` pair regardless of what the operator called the
-/// repository.
-fn metric_segment(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
+/// A tenant's ledger values, indexed by `LedgerEvent as usize`.
+pub(crate) type LedgerTotals = [u64; LedgerEvent::ALL.len()];
+
+/// The tenant's query ledger: the one place a query-lifecycle event is
+/// counted, one always-on relaxed atomic per [`LedgerEvent`] (a few
+/// nanoseconds per bump, independent of the telemetry switch).
+/// `!repos`, `!stats`, and `!metrics` read it live, and a run's
+/// [`ServiceMetrics`](crate::ServiceMetrics) counts are its growth
+/// across the run.
+#[derive(Debug, Default)]
+pub struct TenantCounters {
+    counts: [AtomicU64; LedgerEvent::ALL.len()],
 }
 
 impl TenantCounters {
-    fn new(name: &str) -> Self {
-        let seg = metric_segment(name);
-        let leaked = |suffix: &str| -> &'static Counter {
-            sc_telemetry::counter(Box::leak(
-                format!("sc_tenant_{seg}_{suffix}_total").into_boxed_str(),
-            ))
-        };
-        Self {
-            completed: AtomicU64::new(0),
-            jobs: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            shard_grants: AtomicU64::new(0),
-            tel_completed: leaked("completed"),
-            tel_jobs: leaked("jobs"),
-            tel_cache_hits: leaked("cache_hits"),
-            tel_coalesced: leaked("coalesced"),
-            tel_shard_grants: leaked("shard_grants"),
-        }
+    /// Counts `n` occurrences of `event`.
+    pub(crate) fn add(&self, event: LedgerEvent, n: u64) {
+        self.counts[event as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    pub(crate) fn bump_completed(&self) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.tel_completed.incr();
+    /// Counts one occurrence of `event`.
+    pub(crate) fn bump(&self, event: LedgerEvent) {
+        self.add(event, 1);
     }
 
-    pub(crate) fn bump_job(&self) {
-        self.jobs.fetch_add(1, Ordering::Relaxed);
-        self.tel_jobs.incr();
+    /// The live count of `event`.
+    pub fn get(&self, event: LedgerEvent) -> u64 {
+        self.counts[event as usize].load(Ordering::Relaxed)
     }
 
-    pub(crate) fn bump_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.tel_cache_hits.incr();
-    }
-
-    pub(crate) fn bump_coalesced(&self) {
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
-        self.tel_coalesced.incr();
-    }
-
-    /// One `(tenant, shard)` work unit absorbed through the interleaved
-    /// fan-out — in serve mode and in batch runs alike.
-    pub(crate) fn bump_shard_grant(&self) {
-        self.shard_grants.fetch_add(1, Ordering::Relaxed);
-        self.tel_shard_grants.incr();
+    /// Every live count, in [`LedgerEvent::ALL`] order.
+    pub(crate) fn totals(&self) -> LedgerTotals {
+        LedgerEvent::ALL.map(|e| self.get(e))
     }
 
     /// Live `(completed, jobs, cache_hits, coalesced, shard_grants)`
     /// totals.
     pub fn snapshot(&self) -> (u64, u64, u64, u64, u64) {
         (
-            self.completed.load(Ordering::Relaxed),
-            self.jobs.load(Ordering::Relaxed),
-            self.cache_hits.load(Ordering::Relaxed),
-            self.coalesced.load(Ordering::Relaxed),
-            self.shard_grants.load(Ordering::Relaxed),
+            self.get(LedgerEvent::Completed),
+            self.get(LedgerEvent::Job),
+            self.get(LedgerEvent::CacheHit),
+            self.get(LedgerEvent::Coalesced),
+            self.get(LedgerEvent::ShardGrant),
         )
     }
 }
@@ -152,7 +164,7 @@ impl TenantMeta {
             id,
             name: Arc::from(name),
             quota,
-            counters: TenantCounters::new(name),
+            counters: TenantCounters::default(),
         })
     }
 
@@ -191,7 +203,7 @@ impl TenantMeta {
         self.quota
     }
 
-    /// The tenant's live traffic counters.
+    /// The tenant's query ledger.
     pub fn counters(&self) -> &TenantCounters {
         &self.counters
     }
@@ -448,12 +460,10 @@ mod tests {
     #[test]
     fn counters_snapshot_live_totals() {
         let meta = TenantMeta::new(0, "stats me!", 8);
-        meta.counters().bump_job();
-        meta.counters().bump_completed();
-        meta.counters().bump_completed();
-        meta.counters().bump_shard_grant();
+        meta.counters().bump(LedgerEvent::Job);
+        meta.counters().add(LedgerEvent::Completed, 2);
+        meta.counters().bump(LedgerEvent::ShardGrant);
         assert_eq!(meta.counters().snapshot(), (2, 1, 0, 0, 1));
-        // The telemetry mirror name survived sanitisation.
-        assert_eq!(metric_segment("stats me!"), "stats_me_");
+        assert_eq!(meta.counters().get(LedgerEvent::Reload), 0);
     }
 }

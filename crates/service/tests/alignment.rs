@@ -6,7 +6,9 @@
 
 use sc_core::partial::{run_partial, PartialIterSetCover};
 use sc_core::{IterSetCover, IterSetCoverConfig};
-use sc_service::{QueryOutcome, QuerySpec, ServiceBuilder, ServiceConfig, ServiceMetrics};
+use sc_service::{
+    LedgerEvent, QueryOutcome, QuerySpec, Service, ServiceBuilder, ServiceConfig, ServiceMetrics,
+};
 use sc_setsystem::{gen, SetSystem};
 use sc_stream::run_reported;
 use std::time::Duration;
@@ -58,11 +60,7 @@ fn assert_matches_solo(outcome: &QueryOutcome, system: &SetSystem, label: &str) 
 /// and releases the window, and the late query lands somewhere inside
 /// the now-running multi-pass group — a pass-aligned (group pass ≥ 2)
 /// splice when the race is won. Returns the outcomes and metrics.
-fn staggered_run(
-    system: &SetSystem,
-    cfg: ServiceConfig,
-    late_gap: Duration,
-) -> (Vec<QueryOutcome>, ServiceMetrics) {
+fn staggered_run(service: &Service, late_gap: Duration) -> (Vec<QueryOutcome>, ServiceMetrics) {
     let specs = [
         // Multi-pass head: keeps the group alive across many scans.
         QuerySpec::IterCover {
@@ -78,10 +76,6 @@ fn staggered_run(
             seed: 8,
         },
     ];
-    let service = ServiceBuilder::new()
-        .config(cfg)
-        .tenant("default", system.clone())
-        .build();
     service.serve(|handle| {
         let head = handle.submit(specs[0]).expect("open");
         std::thread::sleep(Duration::from_millis(100));
@@ -249,21 +243,16 @@ fn telemetry_ledger_bounds_aligned_joins_by_mid_stream_admissions() {
     let _hold = sc_telemetry::test_hold();
     let was = sc_telemetry::enabled();
     sc_telemetry::set_enabled(true);
-    let before: std::collections::BTreeMap<&str, u64> =
-        sc_telemetry::registered_counters().into_iter().collect();
 
     let inst = gen::planted(512, 1024, 16, 3);
-    let (outcomes, metrics) = staggered_run(
-        &inst.system,
-        ServiceConfig {
+    let service = ServiceBuilder::new()
+        .config(ServiceConfig {
             admission_window: Duration::from_secs(30),
             ..Default::default()
-        },
-        Duration::ZERO,
-    );
-
-    let after: std::collections::BTreeMap<&str, u64> =
-        sc_telemetry::registered_counters().into_iter().collect();
+        })
+        .tenant("default", inst.system.clone())
+        .build();
+    let (outcomes, metrics) = staggered_run(&service, Duration::ZERO);
     sc_telemetry::set_enabled(was);
 
     for (i, outcome) in outcomes.iter().enumerate() {
@@ -282,25 +271,20 @@ fn telemetry_ledger_bounds_aligned_joins_by_mid_stream_admissions() {
         metrics.jobs + metrics.cache_hits + metrics.coalesced
     );
 
-    let delta =
-        |name: &str| after.get(name).copied().unwrap_or(0) - before.get(name).copied().unwrap_or(0);
-    // The same bound holds on the global ledger. It is asserted on the
-    // snapshot's absolute values, not the deltas: mid-stream admissions
-    // are counted before the aligned-join refinement at every site and
-    // the name-sorted scrape reads the aligned counter first, so no
-    // single snapshot can observe the inequality inverted — but two
-    // snapshots' deltas could, if a concurrent rider lands between one
-    // snapshot's two reads.
-    assert!(
-        after.get("sc_aligned_joins_total").copied().unwrap_or(0)
-            <= after
-                .get("sc_mid_stream_admissions_total")
-                .copied()
-                .unwrap_or(0)
+    // The service's ledger saw exactly this run.
+    let ledger = service.tenants().default_tenant().meta().counters();
+    assert_eq!(
+        ledger.get(LedgerEvent::MidStreamAdmission),
+        metrics.mid_stream_admissions as u64
     );
-    assert!(delta("sc_mid_stream_admissions_total") >= metrics.mid_stream_admissions as u64);
-    assert!(delta("sc_aligned_joins_total") >= metrics.aligned_joins as u64);
-    assert!(delta("sc_queries_completed_total") >= metrics.queries_completed as u64);
+    assert_eq!(
+        ledger.get(LedgerEvent::AlignedJoin),
+        metrics.aligned_joins as u64
+    );
+    assert_eq!(
+        ledger.get(LedgerEvent::Completed),
+        metrics.queries_completed as u64
+    );
 }
 
 #[test]

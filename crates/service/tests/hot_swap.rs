@@ -5,9 +5,13 @@
 //! generation it was answered from.
 
 use sc_core::{IterSetCover, IterSetCoverConfig};
-use sc_service::{QuerySpec, ServiceBuilder, ServiceConfig};
+use sc_service::{
+    CachedAnswer, LedgerEvent, OutcomeCache, QuerySpec, Service, ServiceBuilder, ServiceConfig,
+    ServiceMetrics,
+};
 use sc_setsystem::{gen, SetSystem};
 use sc_stream::run_reported;
+use std::sync::Arc;
 
 fn iter(seed: u64) -> QuerySpec {
     QuerySpec::IterCover { delta: 0.5, seed }
@@ -110,8 +114,6 @@ fn telemetry_ledger_tracks_reloads_and_survives_a_swap() {
     let _hold = sc_telemetry::test_hold();
     let was = sc_telemetry::enabled();
     sc_telemetry::set_enabled(true);
-    let before: std::collections::BTreeMap<&str, u64> =
-        sc_telemetry::registered_counters().into_iter().collect();
 
     let repo1 = gen::planted(512, 1024, 16, 5);
     let repo2 = gen::planted(512, 1024, 16, 6);
@@ -138,8 +140,6 @@ fn telemetry_ledger_tracks_reloads_and_survives_a_swap() {
         (a, b)
     });
 
-    let after: std::collections::BTreeMap<&str, u64> =
-        sc_telemetry::registered_counters().into_iter().collect();
     sc_telemetry::set_enabled(was);
 
     // Recording changed nothing about the answers.
@@ -151,15 +151,20 @@ fn telemetry_ledger_tracks_reloads_and_survives_a_swap() {
     );
     assert_eq!(metrics.reloads, 1);
 
-    let delta =
-        |name: &str| after.get(name).copied().unwrap_or(0) - before.get(name).copied().unwrap_or(0);
-    assert!(delta("sc_reloads_total") >= 1);
+    let ledger = service.tenants().default_tenant().meta().counters();
+    assert_eq!(ledger.get(LedgerEvent::Reload), 1);
     // The swap reaped generation 1's cache entry, and the reap is on
     // the ledger.
-    assert!(delta("sc_cache_evictions_total") >= metrics.reload_evictions as u64);
+    assert_eq!(
+        ledger.get(LedgerEvent::ReloadEviction),
+        metrics.reload_evictions as u64
+    );
     assert!(metrics.reload_evictions >= 1);
-    assert!(delta("sc_queries_completed_total") >= metrics.queries_completed as u64);
-    assert!(delta("sc_query_jobs_total") >= metrics.jobs as u64);
+    assert_eq!(
+        ledger.get(LedgerEvent::Completed),
+        metrics.queries_completed as u64
+    );
+    assert_eq!(ledger.get(LedgerEvent::Job), metrics.jobs as u64);
 }
 
 #[test]
@@ -237,4 +242,129 @@ fn reloading_identical_content_keeps_the_cache_warm() {
     assert!(again[0].cached, "the entry survived the same-content swap");
     assert_eq!(m2.physical_scans, 0);
     assert_eq!(again[0].generation, 2, "reported under the live generation");
+}
+
+/// Every count a run reports, plus its physical scans.
+fn counts(m: &ServiceMetrics) -> [usize; 14] {
+    [
+        m.queries_completed,
+        m.jobs,
+        m.cache_hits,
+        m.cache_misses,
+        m.coalesced,
+        m.mid_stream_admissions,
+        m.aligned_joins,
+        m.shard_grants,
+        m.reloads,
+        m.evictions,
+        m.fifo_evictions,
+        m.lru_evictions,
+        m.reload_evictions,
+        m.physical_scans,
+    ]
+}
+
+#[test]
+fn each_run_reports_only_its_own_share_of_the_ledger() {
+    let repo1 = gen::planted(256, 512, 8, 5);
+    let repo2 = gen::planted(256, 512, 8, 6);
+    let repo3 = gen::planted(256, 512, 8, 7);
+    // One slot with coalescing on: a duplicate behind the leader
+    // follows it, and a duplicate behind a different job waits for a
+    // slot and then hits the leader's cached answer.
+    let cfg = ServiceConfig {
+        max_inflight: 1,
+        coalesce: true,
+        ..Default::default()
+    };
+    let build = |system: &SetSystem, cache: Option<OutcomeCache>| {
+        let builder = ServiceBuilder::new()
+            .config(cfg)
+            .tenant("default", system.clone());
+        match cache {
+            Some(cache) => builder.shared_cache(Arc::new(cache)),
+            None => builder,
+        }
+        .build()
+    };
+    let wave1 = [iter(1), iter(1), iter(2), iter(1)];
+    let serve_with_reload = |service: &Service| {
+        service
+            .serve(|handle| {
+                handle
+                    .submit(iter(3))
+                    .expect("open")
+                    .wait()
+                    .expect("served");
+                let swap = handle.reload(repo2.system.clone()).expect("open");
+                assert_eq!(swap.wait(), Ok(2));
+                handle
+                    .submit(iter(3))
+                    .expect("open")
+                    .wait()
+                    .expect("served");
+            })
+            .1
+    };
+    let wave4 = [iter(4), iter(4), iter(5)];
+
+    let service = build(&repo1.system, None);
+    let (answers1, m1) = service.run_batch(&wave1);
+    let m2 = serve_with_reload(&service);
+    service.install_repository(repo3.system.clone());
+    let (_, m4) = service.run_batch(&wave4);
+    assert_eq!((m1.jobs, m1.coalesced, m1.cache_hits), (2, 1, 1));
+    assert_eq!((m2.jobs, m2.reloads), (2, 1));
+    assert!(
+        m2.reload_evictions >= 3,
+        "the swap reaped wave 1's entries too"
+    );
+    assert_eq!((m4.jobs, m4.coalesced), (2, 1));
+
+    // The same runs, each alone on a fresh service in the same state:
+    // the serve starts from wave 1's cache entries, and the last batch
+    // starts on the installed repository, whose fingerprint nothing
+    // cached.
+    let (_, alone1) = build(&repo1.system, None).run_batch(&wave1);
+    let warm = OutcomeCache::new(cfg.cache_capacity);
+    let fingerprint = OutcomeCache::fingerprint(&repo1.system);
+    for o in answers1.iter().filter(|o| !o.cached && !o.coalesced) {
+        let answer = CachedAnswer {
+            cover: o.cover.clone(),
+            covered: o.covered,
+            required: o.required,
+            logical_passes: o.logical_passes,
+            space_words: o.space_words,
+        };
+        let (n, m) = (repo1.system.universe(), repo1.system.num_sets());
+        warm.insert(0, fingerprint, n, m, &o.spec, answer);
+    }
+    let alone2 = serve_with_reload(&build(&repo1.system, Some(warm)));
+    let (_, alone4) = build(&repo3.system, None).run_batch(&wave4);
+    assert_eq!(counts(&m1), counts(&alone1), "batch");
+    assert_eq!(counts(&m2), counts(&alone2), "serve with a reload");
+    assert_eq!(counts(&m4), counts(&alone4), "batch after an install");
+
+    // `!repos` reports the tenant's ledger: the sum over the runs.
+    let mut out = Vec::new();
+    let (_, idle) = service.serve(|handle| {
+        sc_service::net::pump_queries(&b"!repos\n"[..], &mut out, &handle).expect("pump")
+    });
+    assert_eq!(
+        counts(&idle)[..13],
+        [0; 13],
+        "a run without queries counts nothing"
+    );
+    let runs = [&m1, &m2, &m4];
+    let sum = |f: fn(&ServiceMetrics) -> usize| runs.iter().map(|m| f(m)).sum::<usize>();
+    let expected = format!(
+        "completed={} jobs={} cache_hits={} coalesced={} shard_grants={}",
+        sum(|m| m.queries_completed),
+        sum(|m| m.jobs),
+        sum(|m| m.cache_hits),
+        sum(|m| m.coalesced),
+        sum(|m| m.shard_grants),
+    );
+    let listing = String::from_utf8(out).expect("utf-8");
+    assert!(listing.contains(&expected), "{expected} not in {listing:?}");
 }

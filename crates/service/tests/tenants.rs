@@ -255,3 +255,62 @@ fn a_tenant_quota_caps_its_inflight_occupancy() {
         metrics.max_inflight_seen
     );
 }
+
+#[test]
+fn tenants_whose_names_differ_only_in_punctuation_keep_separate_series() {
+    use std::io::{BufRead, BufReader, Write};
+    let service = ServiceBuilder::new()
+        .tenant("a-b", gen::planted(64, 128, 4, 1).system)
+        .tenant("a_b", gen::planted(64, 128, 4, 2).system)
+        .build();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let lines = std::thread::scope(|s| {
+        let server = s.spawn(|| sc_service::net::serve_tcp(&service, listener).expect("serve"));
+        sc_service::net::wait_ready(&addr, std::time::Duration::from_secs(10)).expect("ready");
+        let conn = std::net::TcpStream::connect(&addr).expect("connect");
+        let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+        let mut writer = &conn;
+        let mut next = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read");
+            line.trim_end().to_string()
+        };
+        for (repo, queries) in [("a-b", 3u64), ("a_b", 5)] {
+            for seed in 0..queries {
+                writeln!(writer, "iter seed={seed} repo={repo}").unwrap();
+            }
+            writer.flush().unwrap();
+            for _ in 0..queries {
+                let reply = next();
+                assert!(reply.ends_with(&format!("repo={repo}")), "{reply:?}");
+            }
+        }
+        writeln!(writer, "!stats\n!metrics\nshutdown").unwrap();
+        writer.flush().unwrap();
+        let stats = next();
+        assert!(
+            stats
+                .split(' ')
+                .any(|f| f == "sc_queries_completed_total=8"),
+            "!stats sums the tenants: {stats:?}"
+        );
+        let header = next();
+        let n: usize = header
+            .strip_prefix("ok metrics n=")
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("bad metrics header {header:?}"));
+        let body: Vec<String> = (0..n).map(|_| next()).collect();
+        server.join().expect("server thread");
+        body
+    });
+    for series in [
+        r#"sc_queries_completed_total{tenant="a-b"} 3"#,
+        r#"sc_queries_completed_total{tenant="a_b"} 5"#,
+    ] {
+        assert!(
+            lines.iter().any(|l| l == series),
+            "{series} missing: {lines:?}"
+        );
+    }
+}

@@ -5,9 +5,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Number of log₂ buckets — the same layout as the service's
-/// `LatencyHistogram`: bucket 0 holds sub-µs durations, bucket `i ≥ 1`
-/// holds `[2^(i-1), 2^i)` µs, bucket 39 absorbs overflow (≥ 2³⁸ µs).
+/// Number of log₂ buckets: bucket 0 holds sub-µs durations, bucket
+/// `i ≥ 1` holds `[2^(i-1), 2^i)` µs, bucket 39 absorbs overflow
+/// (≥ 2³⁸ µs).
 pub const BUCKETS: usize = 40;
 
 pub(crate) fn bucket_of(us: u64) -> usize {
@@ -16,6 +16,10 @@ pub(crate) fn bucket_of(us: u64) -> usize {
     } else {
         ((64 - us.leading_zeros()) as usize).min(BUCKETS - 1)
     }
+}
+
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// A lock-free histogram of stage durations, recorded in microseconds.
@@ -59,7 +63,7 @@ impl StageHistogram {
         if !crate::enabled() {
             return;
         }
-        self.record_us(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
+        self.record_us(micros(d));
     }
 
     /// Starts a span over this stage: the returned guard records the
@@ -102,13 +106,29 @@ pub struct SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            self.hist
-                .record_us(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
+            self.hist.record(start.elapsed());
         }
     }
 }
 
-/// A plain-data histogram state: subtractable, percentile-extractable.
+/// The plain-data log₂-µs histogram: a [`StageHistogram`] snapshot, or
+/// a histogram recorded directly (one owner, no atomics) — mergeable,
+/// subtractable, percentile-extractable.
+///
+/// # Examples
+///
+/// ```
+/// use sc_telemetry::HistogramSnapshot;
+/// use std::time::Duration;
+///
+/// let mut h = HistogramSnapshot::default();
+/// for ms in [1u64, 1, 1, 1, 1, 1, 1, 1, 1, 100] {
+///     h.record(Duration::from_millis(ms));
+/// }
+/// assert_eq!(h.count, 10);
+/// assert!(h.percentile_us(50.0) < 3_000);
+/// assert!(h.percentile_us(99.0) >= 100_000);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts (log₂-µs layout, see [`BUCKETS`]).
@@ -130,6 +150,23 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Records one observation.
+    pub fn record(&mut self, d: Duration) {
+        let us = micros(d);
+        self.buckets[bucket_of(us)] += 1;
+        self.count += 1;
+        self.sum_us = self.sum_us.saturating_add(us);
+    }
+
+    /// Adds every observation of `other` into `self`.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum_us = self.sum_us.saturating_add(other.sum_us);
+    }
+
     /// The observations recorded since `earlier` was taken: `self`
     /// minus `earlier`, bucket-wise (saturating, so a reset between
     /// the two snapshots degrades to the later snapshot rather than
@@ -278,6 +315,26 @@ mod tests {
         }
         assert_eq!(h.snapshot().count, before + 1, "disabled span is inert");
         crate::set_enabled(true);
+        h.reset();
+        crate::set_enabled(was);
+    }
+
+    #[test]
+    fn record_and_merge_agree_with_the_atomic_histogram() {
+        let _g = crate::test_guard();
+        let was = crate::enabled();
+        crate::set_enabled(true);
+        let h = stage("test_record_stage");
+        h.reset();
+        let (mut a, mut b) = (HistogramSnapshot::default(), HistogramSnapshot::default());
+        for (i, us) in [0u64, 3, 10, 50_000].into_iter().enumerate() {
+            h.record(Duration::from_micros(us));
+            let half = if i % 2 == 0 { &mut a } else { &mut b };
+            half.record(Duration::from_micros(us));
+        }
+        a.merge(&b);
+        assert_eq!(a, h.snapshot());
+        assert_eq!(a.mean_us(), 50_013 / 4);
         h.reset();
         crate::set_enabled(was);
     }

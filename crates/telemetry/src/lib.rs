@@ -9,22 +9,25 @@
 //!   counters. Each counter is sharded across cache-line-padded atomic
 //!   cells keyed by a per-thread shard id, so concurrent workers never
 //!   contend on one line; [`Counter::value`] sums the shards.
-//! * **Stage histograms** ([`stage`]) — atomic log₂-µs histograms with
-//!   the exact bucket layout of the service's `LatencyHistogram`
+//! * **Stage histograms** ([`stage`]) — atomic log₂-µs histograms
 //!   (40 buckets, bucket 0 sub-µs, bucket *i* = `[2^(i-1), 2^i)` µs).
 //!   [`StageHistogram::span`] returns a drop-guard that records the
-//!   elapsed time of a pipeline stage; [`HistogramSnapshot::delta`]
-//!   subtracts an earlier snapshot for per-window percentiles.
+//!   elapsed time of a pipeline stage. Their plain-data form,
+//!   [`HistogramSnapshot`], is the workspace's one histogram type: it
+//!   also records and merges directly (the service's per-run latency
+//!   histograms), and [`HistogramSnapshot::delta`] subtracts an
+//!   earlier snapshot for per-window percentiles.
 //! * **Query journal** ([`event`], [`trace`]) — a fixed-capacity
 //!   ring buffer of structured query-lifecycle events
 //!   (`submitted/admitted/aligned_join@pass/epoch_scan/retired` …)
 //!   tagged with query id, repository generation, epoch, and pass
 //!   index. [`trace`] replays one query's timeline in order.
 //!
-//! Exposition is text-first: [`stats_line`] renders one `key=value`
-//! line (counters plus per-stage p50/p90/p99), [`prometheus`] renders
-//! a Prometheus-style `name value` listing, and [`reset`] zeroes
-//! everything for A/B overhead measurements (experiment E22).
+//! The registries are read with [`registered_counters`],
+//! [`registered_stages`], and [`journal_stats`]; the text expositions
+//! (`!stats`, `!metrics`) are rendered by the service, which adds its
+//! per-tenant query ledger. [`reset`] zeroes everything for A/B
+//! overhead measurements (experiment E22).
 //!
 //! Telemetry is observational only: nothing in this crate feeds back
 //! into scheduling decisions, so enabling it cannot perturb the
@@ -34,12 +37,10 @@
 #![warn(missing_docs)]
 
 mod counters;
-mod expose;
 mod histogram;
 mod journal;
 
 pub use counters::{counter, registered_counters, Counter};
-pub use expose::{prometheus, stats_line};
 pub use histogram::{
     registered_stages, stage, HistogramSnapshot, SpanGuard, StageHistogram, BUCKETS,
 };

@@ -104,8 +104,8 @@ fn main() {
         metrics.max_inflight_seen,
         metrics.elapsed.as_secs_f64() * 1e3,
     );
-    println!("queue wait {}", metrics.queue_wait);
-    println!("latency    {}", metrics.latency);
+    println!("queue wait {}", metrics.queue_wait.summary());
+    println!("latency    {}", metrics.latency.summary());
 
     // Act 2: the same service over TCP — the server `sctool serve
     // --listen` runs, with `wait_ready` replacing shell readiness

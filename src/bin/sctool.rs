@@ -446,7 +446,9 @@ fn check_serve_flags(args: &[String]) -> Result<(), String> {
 /// `shutdown` command stops the listener once inflight work drains.
 fn serve_cmd(args: &[String]) -> Result<(), String> {
     use streaming_set_cover::service::net;
-    use streaming_set_cover::service::{EvictionPolicy, ServiceBuilder, ServiceConfig};
+    use streaming_set_cover::service::{
+        expose, EvictionPolicy, ServiceBuilder, ServiceConfig, Surface,
+    };
     check_serve_flags(args)?;
     if args.first().is_some_and(|p| p == "-") && flag(args, "--listen").is_none() {
         return Err(
@@ -530,11 +532,13 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
     let (stop_ticker, ticker) = if telemetry && stats_interval > 0 {
         let (tx, rx) = std::sync::mpsc::channel::<()>();
         let period = std::time::Duration::from_secs(stats_interval);
+        let tenants = std::sync::Arc::clone(service.tenants());
         let ticker = std::thread::spawn(move || {
             // Disconnection = serve finished; the shutdown snapshot is
             // printed by the main thread.
             while let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = rx.recv_timeout(period) {
-                eprintln!("sctool serve: stats {}", sc_telemetry::stats_line());
+                let stats = expose(&tenants, Surface::Stats).join(" ");
+                eprintln!("sctool serve: stats {stats}");
             }
         });
         (Some(tx), Some(ticker))
@@ -605,12 +609,12 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
             metrics.reload_evictions,
         );
     }
-    eprintln!("sctool serve: queue wait {}", metrics.queue_wait);
-    eprintln!("sctool serve: latency    {}", metrics.latency);
+    eprintln!("sctool serve: queue wait {}", metrics.queue_wait.summary());
+    eprintln!("sctool serve: latency    {}", metrics.latency.summary());
     if telemetry {
         eprintln!(
             "sctool serve: stats trigger=shutdown {}",
-            sc_telemetry::stats_line()
+            expose(service.tenants(), Surface::Stats).join(" ")
         );
     }
     Ok(())
@@ -634,7 +638,7 @@ fn response_field(line: &str, key: &str) -> Option<u64> {
 fn client_cmd(args: &[String]) -> Result<(), String> {
     use std::net::TcpStream;
     use streaming_set_cover::service::protocol::{Reply, Request};
-    use streaming_set_cover::service::{LatencyHistogram, QuerySpec};
+    use streaming_set_cover::service::{HistogramSnapshot, QuerySpec};
     let addr = flag(args, "--connect").ok_or("client: missing --connect")?;
     let queries: usize = flag_or(args, "--queries", 8)?;
     // `--allow-busy`: a server under deliberate overload answers some
@@ -692,8 +696,8 @@ fn client_cmd(args: &[String]) -> Result<(), String> {
         /// shows which generation(s) answered when the repository was
         /// hot-swapped mid-load.
         generations: std::collections::BTreeMap<u64, usize>,
-        queue_wait: LatencyHistogram,
-        latency: LatencyHistogram,
+        queue_wait: HistogramSnapshot,
+        latency: HistogramSnapshot,
     }
     let start = std::time::Instant::now();
     let total = std::sync::Mutex::new(Tally::default());
@@ -815,8 +819,8 @@ fn client_cmd(args: &[String]) -> Result<(), String> {
         elapsed.as_secs_f64() * 1e3,
         queries as f64 / elapsed.as_secs_f64().max(1e-9),
     );
-    println!("queue wait {}", tally.queue_wait);
-    println!("latency    {}", tally.latency);
+    println!("queue wait {}", tally.queue_wait.summary());
+    println!("latency    {}", tally.latency.summary());
     // Which server generation(s) answered — a hot swap mid-load shows
     // up as two generations here, with zero answers crossing them.
     let generations: Vec<String> = tally
