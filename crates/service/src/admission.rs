@@ -23,7 +23,7 @@ use sc_setsystem::SetSystem;
 use sc_stream::SetStream;
 use sc_telemetry::EventKind;
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SendError, SyncSender, TryRecvError};
 use std::time::Instant;
 
 /// What clients push down the submission channel.
@@ -40,7 +40,7 @@ pub(crate) struct QuerySubmission {
     pub id: u64,
     pub spec: QuerySpec,
     pub submitted: Instant,
-    pub reply: SyncSender<QueryOutcome>,
+    pub reply: ReplyTx<QueryOutcome>,
 }
 
 /// A pending repository swap: the next generation's content plus the
@@ -48,7 +48,44 @@ pub(crate) struct QuerySubmission {
 /// drained.
 pub(crate) struct ReloadRequest {
     pub system: SetSystem,
-    pub reply: SyncSender<u64>,
+    pub reply: ReplyTx<u64>,
+}
+
+/// The sending half of one ticket: the ticket's channel plus the
+/// optional wake channel of the front door that holds the ticket
+/// ([`ServiceHandle::with_waker`](crate::ServiceHandle::with_waker)).
+/// A delivery puts the value in the ticket's channel *first* and only
+/// then signals the wake, so a woken poller always finds the value.
+/// The wake channel holds one token, so wakes that pile up while the
+/// poller is busy merge into one.
+pub(crate) struct ReplyTx<T> {
+    tx: SyncSender<T>,
+    wake: Option<SyncSender<()>>,
+}
+
+impl<T> ReplyTx<T> {
+    pub fn new(tx: SyncSender<T>, wake: Option<SyncSender<()>>) -> Self {
+        Self { tx, wake }
+    }
+
+    /// Delivers `value`, then wakes the front door. A dropped ticket
+    /// wakes nobody: there is nothing left to flush.
+    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
+        self.tx.send(value)?;
+        if let Some(wake) = &self.wake {
+            let _ = wake.try_send(());
+        }
+        Ok(())
+    }
+}
+
+impl<T> Clone for ReplyTx<T> {
+    fn clone(&self) -> Self {
+        Self {
+            tx: self.tx.clone(),
+            wake: self.wake.clone(),
+        }
+    }
 }
 
 /// One admitted query inside the epoch loop.
@@ -59,7 +96,7 @@ pub(crate) struct Inflight<'a> {
     pub submitted: Instant,
     pub admitted: Instant,
     /// `None` in batch mode (outcomes are returned positionally).
-    pub reply: Option<SyncSender<QueryOutcome>>,
+    pub reply: Option<ReplyTx<QueryOutcome>>,
     /// Identical queries coalesced onto this job
     /// ([`ServiceConfig::coalesce`](crate::ServiceConfig)); retirement
     /// fans a reply out per follower.
@@ -75,7 +112,7 @@ pub(crate) struct Follower {
     /// When the query attached to the job (its queue wait ends here).
     pub attached: Instant,
     /// `None` in batch mode.
-    pub reply: Option<SyncSender<QueryOutcome>>,
+    pub reply: Option<ReplyTx<QueryOutcome>>,
 }
 
 /// How one submission was disposed of by
@@ -244,7 +281,7 @@ impl Service {
         id: u64,
         submitted: Instant,
         attached: Instant,
-        reply: Option<SyncSender<QueryOutcome>>,
+        reply: Option<ReplyTx<QueryOutcome>>,
         inflight: &mut [(usize, Inflight<'a>)],
     ) -> bool {
         if !self.config().coalesce {
@@ -473,5 +510,158 @@ impl Service {
     /// disabled-cache semantics).
     pub(crate) fn cache_enabled(&self) -> bool {
         self.cache().capacity() > 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Every place that answers a query delivers the value before it
+    //! wakes the front door, so a woken poller always finds a resolved
+    //! ticket.
+
+    use super::*;
+    use crate::service::ServiceBuilder;
+    use sc_setsystem::gen;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    fn iter(seed: u64) -> QuerySpec {
+        QuerySpec::IterCover { delta: 0.5, seed }
+    }
+
+    /// Two tenants, coalescing on, a cache; the default tenant's jobs
+    /// run for several passes, so a duplicate submitted right behind
+    /// its leader finds it still in flight.
+    fn service() -> Service {
+        ServiceBuilder::new()
+            .tenant("default", gen::planted(1024, 2048, 16, 3).system)
+            .tenant("b", gen::planted(64, 128, 4, 5).system)
+            .cache_capacity(64)
+            .coalesce(true)
+            .build()
+    }
+
+    /// Waits for the wake of the one delivery in flight, then requires
+    /// its answer to be in place already and no second wake.
+    fn woken<T>(wake: &mpsc::Receiver<()>, answer: impl FnOnce() -> Option<T>) -> T {
+        wake.recv_timeout(Duration::from_secs(10))
+            .expect("the delivery wakes the front door");
+        let value = answer().expect("the answer lands before the wake");
+        assert!(wake.try_recv().is_err(), "one delivery, one wake");
+        value
+    }
+
+    #[test]
+    fn a_reply_wakes_only_once_its_value_is_in_the_channel() {
+        // A rendezvous channel holds the sender inside `send` until the
+        // value is taken, so a wake sent ahead of the value would show.
+        let (tx, rx) = mpsc::sync_channel(0);
+        let (wake_tx, wake) = mpsc::sync_channel(1);
+        let reply = ReplyTx::new(tx, Some(wake_tx));
+        // Assert only after the scope: a panic inside it would wait
+        // forever on the sender still parked in the rendezvous.
+        let (early, value, woke) = std::thread::scope(|s| {
+            s.spawn(move || reply.send(7u64).expect("delivered"));
+            let early = wake.recv_timeout(Duration::from_millis(100)).is_ok();
+            let value = rx.recv().expect("value");
+            let woke = early || wake.recv_timeout(Duration::from_secs(10)).is_ok();
+            (early, value, woke)
+        });
+        assert!(!early, "no wake before the value is delivered");
+        assert_eq!(value, 7);
+        assert!(woke, "the delivery wakes");
+        // A dropped ticket wakes nobody.
+        let (tx, rx) = mpsc::sync_channel(1);
+        let (wake_tx, wake) = mpsc::sync_channel(1);
+        drop(rx);
+        assert!(ReplyTx::new(tx, Some(wake_tx)).send(7u64).is_err());
+        assert!(wake.try_recv().is_err());
+    }
+
+    #[test]
+    fn scheduler_deliveries_wake_after_the_answer_is_in_place() {
+        let service = service();
+        let (wake_tx, wake) = mpsc::sync_channel(1);
+        service.serve(|handle| {
+            let h = handle.with_waker(wake_tx);
+            // The leader's reply in retirement.
+            let t = h.submit(iter(1)).expect("submit");
+            let first = woken(&wake, || t.try_wait()).expect("answered");
+            assert!(!first.cached && !first.coalesced);
+            // An idle lane pulls the repeat at the boundary: the cache
+            // hit in `admit_or_answer`.
+            let t = h.submit(iter(1)).expect("submit");
+            assert!(woken(&wake, || t.try_wait()).expect("answered").cached);
+            // A follower's reply in retirement. The leader's ticket is
+            // dropped, so the follower's delivery is the only wake.
+            drop(h.submit(iter(2)).expect("submit"));
+            let t = h.submit(iter(2)).expect("submit");
+            assert!(woken(&wake, || t.try_wait()).expect("answered").coalesced);
+            // A query sent through a `with_tenant` handle.
+            let b = h.with_tenant("b").expect("tenant b");
+            let t = b.submit(iter(1)).expect("submit");
+            assert!(!woken(&wake, || t.try_wait()).expect("answered").cached);
+            // The reload acknowledgement.
+            let t = h
+                .reload(gen::planted(64, 128, 4, 9).system)
+                .expect("reload");
+            woken(&wake, || t.try_wait()).expect("swapped");
+        });
+    }
+
+    /// The two cache-hit sites a lane reaches only while a scan is in
+    /// flight, called directly: no outside timing can steer an arrival
+    /// into them.
+    #[test]
+    fn mid_scan_cache_hits_wake_after_the_answer_is_in_place() {
+        let service = service();
+        let (outcomes, _) = service.run_batch(&[iter(1)]);
+        assert!(!outcomes[0].cached, "the batch fills the cache");
+        let gen = service.generation();
+        let root = SetStream::new(&gen.system);
+        let mut metrics = ServiceMetrics::default();
+        let (wake_tx, wake) = mpsc::sync_channel(1);
+        let submission = |id| {
+            let (tx, rx) = mpsc::sync_channel(1);
+            let sub = QuerySubmission {
+                id,
+                spec: iter(1),
+                submitted: Instant::now(),
+                reply: ReplyTx::new(tx, Some(wake_tx.clone())),
+            };
+            (sub, rx)
+        };
+
+        let (sub, rx) = submission(10);
+        let mut pending = vec![PendingArrival {
+            sub,
+            drained: Instant::now(),
+        }];
+        service.answer_drained_hits(&gen, &mut pending, 0, &mut metrics);
+        assert!(pending.is_empty(), "the hit needs no splice");
+        assert!(woken(&wake, || rx.try_recv().ok()).cached);
+
+        let (sub, rx) = submission(11);
+        let mut inflight = vec![(
+            0,
+            Inflight {
+                id: 0,
+                spec: iter(1),
+                job: make_job(&iter(1), &root),
+                submitted: Instant::now(),
+                admitted: Instant::now(),
+                reply: None,
+                followers: Vec::new(),
+            },
+        )];
+        let disposed = service.dispose_past_full_window(
+            &gen,
+            sub,
+            &mut inflight,
+            &mut metrics,
+            Instant::now(),
+        );
+        assert!(matches!(disposed, Ok(false)), "answered from the cache");
+        assert!(woken(&wake, || rx.try_recv().ok()).cached);
     }
 }

@@ -117,15 +117,20 @@ pub(crate) struct SwapLoad {
 }
 
 impl SwapLoad {
-    fn spawn(handle: ServiceHandle, path: String) -> SwapLoad {
-        let (tx, rx) = std::sync::mpsc::channel();
+    /// Starts the loader thread. Its result arrives like a ticket's
+    /// answer: delivered first, then the handle's front door is woken.
+    ///
+    /// # Errors
+    ///
+    /// The OS refused to start the loader thread.
+    fn spawn(handle: ServiceHandle, path: String) -> std::io::Result<SwapLoad> {
+        let (tx, rx) = handle.reply_channel();
         std::thread::Builder::new()
             .name("sc-reload-load".into())
             .spawn(move || {
                 let _ = tx.send(sc_setsystem::io::load_path(&path).map(|inst| inst.system));
-            })
-            .expect("spawn reload loader thread");
-        SwapLoad { handle, rx }
+            })?;
+        Ok(SwapLoad { handle, rx })
     }
 
     /// `None` while the file is still loading; once the loader is
@@ -231,7 +236,10 @@ pub(crate) fn dispatch(req: Request, conn: &mut ServiceHandle, blocking: bool) -
                 // The event loop must not stall every connection on
                 // one file load: read the instance off-thread and
                 // hand off to the scheduler when it lands.
-                Action::LoadSwap(SwapLoad::spawn(handle, path))
+                match SwapLoad::spawn(handle, path) {
+                    Ok(load) => Action::LoadSwap(load),
+                    Err(e) => Action::Reply(Reply::error(format!("reload loader: {e}"))),
+                }
             }
         }
         Request::Query { repo, spec } => {
@@ -853,6 +861,36 @@ mod tests {
             let metrics = server.join().expect("server thread");
             assert_eq!(metrics.reloads, 0);
         });
+    }
+
+    #[test]
+    fn a_reload_loader_wakes_the_front_door_after_its_result_lands() {
+        let path = std::env::temp_dir().join(format!("sc-swapload-{}.sc", std::process::id()));
+        let next = gen::planted(64, 128, 4, 2).system;
+        std::fs::write(&path, sc_setsystem::io::system_to_string(&next)).expect("write");
+        let service = single(1);
+        let (wake_tx, wake) = std::sync::mpsc::sync_channel(1);
+        let woken = || {
+            wake.recv_timeout(Duration::from_secs(10))
+                .expect("the delivery wakes the front door");
+        };
+        service.serve(|handle| {
+            let handle = handle.with_waker(wake_tx);
+            // A failed load wakes too: its error is the reply.
+            let load = SwapLoad::spawn(handle.clone(), "/no/such/instance.sc".into())
+                .expect("spawn loader");
+            woken();
+            assert!(load.try_finish().expect("result before wake").is_err());
+            let load = SwapLoad::spawn(handle, path.display().to_string()).expect("spawn loader");
+            woken();
+            let ticket = load
+                .try_finish()
+                .expect("result before wake")
+                .expect("hand-off");
+            woken();
+            assert_eq!(ticket.try_wait().expect("ack before wake"), Ok(2));
+        });
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

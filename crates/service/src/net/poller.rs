@@ -8,8 +8,13 @@
 //! session socket run in non-blocking mode, each loop iteration
 //! level-triggers over the session registry (accept burst, then per
 //! session: flush → read → parse/dispatch → resolve tickets → flush),
-//! and an iteration that makes no progress sleeps with a small
-//! doubling backoff instead of spinning. The semantics match an
+//! and an iteration that makes no progress waits on the loop's wake
+//! channel instead of spinning. The scheduler signals that channel
+//! whenever it answers a ticket this loop holds (and a `!reload`
+//! loader when its file is parsed), so a reply is flushed as soon as
+//! it exists; the wait's timeout, a small doubling backoff, only
+//! bounds how long new socket readiness (an accept, a request line, a
+//! drained send buffer) can go unnoticed. The semantics match an
 //! `epoll` loop — bounded buffers, fair service, no thread per
 //! connection — with the syscall pattern of a poll loop, which the
 //! E24 soak prices at the scales this repository serves.
@@ -52,8 +57,9 @@ use crate::protocol::{Reply, Request, BUSY_MSG, LINE_TOO_LONG_MSG};
 use crate::service::{QueryTicket, ReloadTicket, ServiceHandle};
 use crate::telemetry::tel;
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Front-door limits of the event-driven session layer
@@ -120,8 +126,9 @@ const READ_CHUNK: usize = 4096;
 /// rendering further replies into it until the peer drains some.
 const WRITE_SOFT_CAP: usize = 64 * 1024;
 
-/// Idle backoff bounds: a no-progress iteration sleeps `IDLE_MIN`
-/// doubling to `IDLE_MAX`; any progress resets to the minimum.
+/// Idle backoff bounds: a no-progress iteration waits for a wake at
+/// most `IDLE_MIN` doubling to `IDLE_MAX`; any progress resets to the
+/// minimum.
 const IDLE_MIN: Duration = Duration::from_micros(50);
 const IDLE_MAX: Duration = Duration::from_millis(2);
 
@@ -457,6 +464,26 @@ impl Session {
     }
 }
 
+/// `errno` values of an accept that failed for want of a resource —
+/// descriptors, socket buffers, kernel memory — rather than because
+/// the listener broke.
+const EMFILE: i32 = 24;
+const ENFILE: i32 = 23;
+const ENOMEM: i32 = 12;
+#[cfg(target_os = "linux")]
+const ENOBUFS: i32 = 105;
+#[cfg(not(target_os = "linux"))]
+const ENOBUFS: i32 = 55;
+
+/// Whether an accept error only means "stop accepting for this round":
+/// the peer gave up before the accept, or the process is out of
+/// descriptors or buffers. A connection flood that exhausts them must
+/// not end the server for the sessions it already serves.
+fn accept_error_is_transient(e: &io::Error) -> bool {
+    e.kind() == ErrorKind::ConnectionAborted
+        || matches!(e.raw_os_error(), Some(EMFILE | ENFILE | ENOBUFS | ENOMEM))
+}
+
 /// Answers a connection over the limit with one best-effort busy line
 /// and hangs up.
 fn shed_connection(mut conn: TcpStream, stats: &mut NetStats) {
@@ -469,18 +496,26 @@ fn shed_connection(mut conn: TcpStream, stats: &mut NetStats) {
 
 /// The event loop [`serve_tcp_with`](super::serve_tcp_with) runs
 /// inside [`Service::serve`](crate::Service::serve): accept burst,
-/// then one service round per session, then sleep iff nothing moved.
-/// Returns the front-door accounting once a `shutdown` request has
-/// drained every session.
+/// then one service round per session, then wait for a wake iff
+/// nothing moved. Returns the front-door accounting once a `shutdown`
+/// request has drained every session.
 pub(super) fn event_loop(
     listener: &TcpListener,
     handle: ServiceHandle,
     cfg: &NetConfig,
 ) -> Result<NetStats, String> {
+    // One token: wakes that arrive while the loop is busy merge. The
+    // loop's own `handle` holds a sender until it returns, so the wait
+    // below never sees a disconnected channel.
+    let (wake_tx, wake_rx) = mpsc::sync_channel::<()>(1);
+    let handle = handle.with_waker(wake_tx);
     let mut stats = NetStats::default();
     let mut sessions: Vec<Session> = Vec::new();
     let mut shutting_down: Option<Instant> = None;
     let mut idle = IDLE_MIN;
+    // Set while accepts fail for want of a resource, so the serve log
+    // gets one line per stall rather than one per round.
+    let mut accept_stalled = false;
     loop {
         let mut progress = false;
         if shutting_down.is_none() {
@@ -488,6 +523,7 @@ pub(super) fn event_loop(
                 match listener.accept() {
                     Ok((conn, _peer)) => {
                         progress = true;
+                        accept_stalled = false;
                         // A socket that can't go non-blocking can't be
                         // served by this loop either: shed it like an
                         // over-limit connection (best-effort busy
@@ -503,6 +539,13 @@ pub(super) fn event_loop(
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(e) if accept_error_is_transient(&e) => {
+                        if !accept_stalled {
+                            accept_stalled = true;
+                            eprintln!("sc_service accept paused: {e}");
+                        }
+                        break;
+                    }
                     Err(e) => return Err(format!("accept: {e}")),
                 }
             }
@@ -545,7 +588,7 @@ pub(super) fn event_loop(
         if progress {
             idle = IDLE_MIN;
         } else {
-            std::thread::sleep(idle);
+            let _ = wake_rx.recv_timeout(idle);
             idle = (idle * 2).min(IDLE_MAX);
         }
     }
@@ -556,6 +599,24 @@ mod tests {
     use super::*;
     use crate::service::ServiceBuilder;
     use sc_setsystem::gen;
+
+    #[test]
+    fn accept_errors_from_exhausted_resources_are_transient() {
+        for errno in [EMFILE, ENFILE, ENOBUFS, ENOMEM] {
+            assert!(accept_error_is_transient(&io::Error::from_raw_os_error(
+                errno
+            )));
+        }
+        assert!(accept_error_is_transient(&io::Error::from(
+            ErrorKind::ConnectionAborted
+        )));
+        // EBADF / EINVAL: the listener itself is broken.
+        for errno in [9, 22] {
+            assert!(!accept_error_is_transient(&io::Error::from_raw_os_error(
+                errno
+            )));
+        }
+    }
 
     #[test]
     fn accepted_session_sockets_disable_nagle() {

@@ -9,7 +9,9 @@
 //! [`FairGate`](crate::fairness::FairGate) arbitrating `(tenant,
 //! shard)` work units across lanes.
 
-use crate::admission::{Admitted, Inflight, Intake, QuerySubmission, ReloadRequest, Submission};
+use crate::admission::{
+    Admitted, Inflight, Intake, QuerySubmission, ReloadRequest, ReplyTx, Submission,
+};
 use crate::alignment::{self, EpochState};
 use crate::cache::{EvictionPolicy, OutcomeCache};
 use crate::execution;
@@ -228,6 +230,10 @@ pub struct ServiceHandle {
     route: usize,
     counter: Arc<AtomicU64>,
     registry: Arc<TenantRegistry>,
+    /// The front door's wake channel: every ticket issued through this
+    /// handle (or a [`with_tenant`](ServiceHandle::with_tenant)
+    /// derivative) signals it once its answer is delivered.
+    wake: Option<SyncSender<()>>,
 }
 
 impl ServiceHandle {
@@ -238,7 +244,7 @@ impl ServiceHandle {
     ///
     /// [`ServiceClosed`] if the scheduler already exited.
     pub fn submit(&self, spec: QuerySpec) -> Result<QueryTicket, ServiceClosed> {
-        let (reply, rx) = mpsc::sync_channel(1);
+        let (reply, rx) = self.reply_channel();
         let id = self.counter.fetch_add(1, Ordering::Relaxed);
         self.count_submitted();
         // The serving generation is the scheduler's business; the
@@ -272,7 +278,7 @@ impl ServiceHandle {
     /// [`TrySubmitError::Busy`] when the queue is full,
     /// [`TrySubmitError::Closed`] when the scheduler already exited.
     pub fn try_submit(&self, spec: QuerySpec) -> Result<QueryTicket, TrySubmitError> {
-        let (reply, rx) = mpsc::sync_channel(1);
+        let (reply, rx) = self.reply_channel();
         let id = self.counter.fetch_add(1, Ordering::Relaxed);
         match self.routes[self.route].try_send(Submission::Query(QuerySubmission {
             id,
@@ -301,11 +307,28 @@ impl ServiceHandle {
     ///
     /// [`ServiceClosed`] if the scheduler already exited.
     pub fn reload(&self, system: SetSystem) -> Result<ReloadTicket, ServiceClosed> {
-        let (reply, rx) = mpsc::sync_channel(1);
+        let (reply, rx) = self.reply_channel();
         self.routes[self.route]
             .send(Submission::Reload(ReloadRequest { system, reply }))
             .map_err(|_| ServiceClosed)?;
         Ok(ReloadTicket { rx })
+    }
+
+    /// This handle, waking `wake` whenever one of its tickets is
+    /// answered — how an event loop learns that a reply exists without
+    /// polling for it.
+    pub(crate) fn with_waker(self, wake: SyncSender<()>) -> ServiceHandle {
+        ServiceHandle {
+            wake: Some(wake),
+            ..self
+        }
+    }
+
+    /// A one-value reply channel whose sender wakes this handle's front
+    /// door (if any) after delivering.
+    pub(crate) fn reply_channel<T>(&self) -> (ReplyTx<T>, Receiver<T>) {
+        let (tx, rx) = mpsc::sync_channel(1);
+        (ReplyTx::new(tx, self.wake.clone()), rx)
     }
 
     /// Counts one submission in the target tenant's ledger.
@@ -876,6 +899,7 @@ impl Service {
             route: 0,
             counter: Arc::new(AtomicU64::new(0)),
             registry: Arc::clone(&self.registry),
+            wake: None,
         };
         let gate = &FairGate::new(lanes, self.quantum, self.cfg.workers as u64);
         let fanout = InterleavedCursor::new();
