@@ -11,6 +11,9 @@
 //!   sides are scalar and the speedup column reads ~1x. The
 //!   `intersect_into` rows instead use the classic per-candidate probe
 //!   loop as base, since the emit kernel is shared by both backends.
+//!   The `… short` rows use the scalar span walker as base and the
+//!   dispatched entry point as opt: below 64 ids it probes one bit per
+//!   id on every backend, the shape of the greedy oracle's projections.
 //! * **Oracle rows** time the gain-indexed bucket-queue greedy
 //!   ([`greedy_slices`]) against the retained `BinaryHeap` reference
 //!   ([`greedy_slices_heap`]) on planted instances, asserting the
@@ -87,6 +90,33 @@ fn noise_words(len: usize, mut seed: u64) -> Vec<u64> {
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
+        })
+        .collect()
+}
+
+/// `count` ascending slices of `len` distinct ids over `bitmap`'s
+/// universe: scattered ids, or (`dense`) a run of consecutive ids
+/// inside one word.
+fn short_slices(bitmap: &[u64], count: usize, len: usize, dense: bool) -> Vec<Vec<u32>> {
+    let bits = (bitmap.len() * 64) as u64;
+    let mut draws = noise_words(count * (len + 1), 4).into_iter();
+    let mut draw = |below: u64| (draws.next().expect("enough draws") % below) as u32;
+    (0..count)
+        .map(|_| {
+            if dense {
+                let start = draw(bits / 64) * 64 + draw(65 - len as u64);
+                (start..start + len as u32).collect()
+            } else {
+                let mut ids = Vec::with_capacity(len);
+                while ids.len() < len {
+                    let e = draw(bits);
+                    if !ids.contains(&e) {
+                        ids.push(e);
+                    }
+                }
+                ids.sort_unstable();
+                ids
+            }
         })
         .collect()
 }
@@ -204,6 +234,67 @@ pub fn kernels(scale: Scale) -> Table {
         got == want,
     );
 
+    // Short slices: the greedy oracle's stored projections (~5 ids
+    // spread over a planted n=1024 universe, or a run of ids inside one
+    // word), tens of thousands of calls per query. Base is the scalar
+    // span walker, opt the dispatched entry point, which probes one bit
+    // per id below 64 ids.
+    let bitmap = noise_words(16, 3);
+    let nslices = scale.pick(1 << 12, 1 << 15);
+    for (label, len) in [("sparse", 5usize), ("dense", 48)] {
+        let slices = short_slices(&bitmap, nslices, len, label == "dense");
+        let count_all = |count: fn(&[u64], &[u32]) -> usize| {
+            slices.iter().map(|e| count(&bitmap, e)).sum::<usize>()
+        };
+        let walk = best_secs(repeats, || {
+            count_all(kernels::scalar::intersection_count_sorted)
+        });
+        let probe = best_secs(repeats, || count_all(kernels::intersection_count_sorted));
+        let identical = slices.iter().all(|e| {
+            kernels::intersection_count_sorted(&bitmap, e)
+                == kernels::scalar::intersection_count_sorted(&bitmap, e)
+        });
+        assert!(identical, "short-slice count diverged from the span walker");
+        timed_row(
+            &mut table,
+            &format!("count_sorted short {label}"),
+            format!("{nslices}x{len} ids"),
+            walk,
+            probe,
+            identical,
+        );
+
+        let mut scratch = bitmap.clone();
+        let mut remove_all = |remove: fn(&mut [u64], &[u32])| {
+            for e in &slices {
+                scratch.copy_from_slice(&bitmap);
+                remove(&mut scratch, e);
+            }
+            scratch[0]
+        };
+        let walk = best_secs(repeats, || remove_all(kernels::scalar::remove_sorted));
+        let probe = best_secs(repeats, || remove_all(kernels::remove_sorted));
+        let identical = slices.iter().all(|e| {
+            let mut got = bitmap.clone();
+            kernels::remove_sorted(&mut got, e);
+            let mut want = bitmap.clone();
+            kernels::scalar::remove_sorted(&mut want, e);
+            got == want
+        });
+        assert!(
+            identical,
+            "short-slice removal diverged from the span walker"
+        );
+        timed_row(
+            &mut table,
+            &format!("remove_sorted short {label}"),
+            format!("{nslices}x{len} ids"),
+            walk,
+            probe,
+            identical,
+        );
+    }
+
     // Oracle rows: bucket queue vs the retained heap on the stored
     // projections of planted instances (the shape `iterSetCover` and
     // the geometric solver actually feed the oracle).
@@ -265,6 +356,7 @@ pub fn kernels(scale: Scale) -> Table {
         "dispatched kernel backend: {} (base = forced scalar via force_scalar, same process)",
         kernels::backend_name()
     ));
+    table.note("short rows: base = scalar span walker, opt = dispatched per-id probe");
     table.note("oracle rows: base = BinaryHeap lazy greedy, opt = gain-indexed bucket queue");
     table.note(
         "`identical` = bit-identical results across the two paths (asserted, not just reported)",

@@ -261,19 +261,21 @@ impl BitSet {
 
     /// `|self ∩ elems|` for an ascending slice of ids.
     ///
-    /// Equivalent to `elems.iter().filter(|&&e| self.contains(e)).count()`
-    /// but word-batched via [`kernels::intersection_count_sorted`]: the
-    /// ids are grouped into per-word membership masks (one `count_ones`
-    /// per touched word instead of one shift/add per id), and contiguous
-    /// word runs stream through the vector popcount on AVX2 machines;
-    /// the pass-1 size test of `iterSetCover` runs on this.
+    /// Equivalent to `elems.iter().filter(|&&e| self.contains(e)).count()`,
+    /// via [`kernels::intersection_count_sorted`]. Slices under 64 ids
+    /// (the greedy oracle's stored projections) probe one bit per id;
+    /// longer ones are word-batched: the ids are grouped into per-word
+    /// membership masks (one `count_ones` per touched word instead of
+    /// one shift/add per id), and contiguous word runs stream through
+    /// the vector popcount on AVX2 machines.
     ///
     /// # Panics
     ///
     /// Panics if any id is `>= universe`. Ids must be strictly
-    /// ascending — the per-word masks dedup by construction, so a
-    /// duplicated id would count once, not twice (checked in debug
-    /// builds only; every caller passes deduplicated projections).
+    /// ascending (checked in debug builds only). Every caller passes
+    /// repeat-free slices: `SetSystem::from_sets` dedups its sets, SCB1
+    /// records are strictly ascending, and stored projections are
+    /// filtered from those sets.
     pub fn intersection_count_slice(&self, elems: &[u32]) -> usize {
         self.check_sorted(elems);
         debug_assert!(
@@ -283,11 +285,11 @@ impl BitSet {
         kernels::intersection_count_sorted(&self.words, elems)
     }
 
-    /// Removes every element of an ascending slice, word-at-a-time: one
-    /// mask per touched 64-bit word, then a single read-modify-write,
-    /// instead of one per element. Equivalent to
-    /// `for &e in elems { self.remove(e); }` for strictly ascending
-    /// input.
+    /// Removes every element of an ascending slice. Equivalent to
+    /// `for &e in elems { self.remove(e); }`, via
+    /// [`kernels::remove_sorted`]: slices under 64 ids clear one bit per
+    /// id; longer ones build one mask per touched 64-bit word, then do a
+    /// single read-modify-write per word instead of one per element.
     ///
     /// # Panics
     ///
@@ -314,12 +316,12 @@ impl BitSet {
 
     /// Overwrites `out` with `self ∩ elems` (ascending ids). Equivalent
     /// to `out = elems.iter().copied().filter(|&e| self.contains(e)).collect()`
-    /// for strictly ascending input, with `out`'s allocation reused and
-    /// the filter loop made branch-free: every id is written to the
-    /// next slot, and the slot index advances only on membership —
-    /// no per-id branch to mispredict. On AVX2 machines the membership
-    /// probes run four ids at a time through a gathered vector kernel
-    /// ([`kernels::intersect_sorted_into`]).
+    /// for strictly ascending input, with `out`'s allocation reused.
+    /// There is no per-id membership probe: [`kernels::intersect_sorted_into`]
+    /// turns the ids into per-word masks (free for runs covering whole
+    /// words) and emits the set bits of `word & mask`, so the cost
+    /// follows the hits, not the candidates. Both backends run this
+    /// same scalar span walk (an AVX2 gather probe measured slower).
     ///
     /// # Panics
     ///

@@ -34,6 +34,10 @@
 //! used by benchmarks). Both paths are bit-identical by construction
 //! and pinned against each other by the `prop_kernels` property suite.
 //!
+//! Sorted slices shorter than `SHORT_SLICE` (64 ids) never dispatch:
+//! counting and removal probe one bit per id, insertion and the
+//! filtering emit run the scalar span walk, on every backend.
+//!
 //! The functions take raw word slices rather than `BitSet` so that the
 //! benchmarks and parity tests can drive them directly; `BitSet`
 //! validates universes and sortedness before delegating here, and the
@@ -512,6 +516,13 @@ mod avx2 {
 /// Live values therefore trail the truth by up to `FLUSH_EVERY - 1`
 /// calls per running thread — fine for a rate scrape, and the cost per
 /// call when telemetry is off stays a single relaxed load.
+///
+/// Only *dispatched* calls are counted: whole-word operations and
+/// sorted-slice calls of at least [`SHORT_SLICE`] ids. Shorter slices
+/// return before dispatch and never reach [`hits::note`], so the
+/// counters measure backend use, not kernel work — a traced
+/// `tenants-closed` query counts ~68 dispatched calls against ~30 000
+/// short-slice calls from the greedy oracle.
 mod hits {
     use super::Backend;
     use std::cell::Cell;
@@ -660,11 +671,18 @@ pub fn andnot_into(a: &mut [u64], b: &[u64]) {
     dispatch!(andnot_into(a, b))
 }
 
-/// Sorted slices shorter than this skip vector dispatch entirely: a
-/// short sparse slice splits into a handful of one-word fragments that
-/// can't amortise the 256-bit setup, and measured end-to-end the
-/// vector path costs ~7% on such workloads. Dense slices long enough
-/// to win are far above this bar.
+/// Sorted slices shorter than this skip vector dispatch entirely.
+/// Counting and removal probe one bit per id instead of walking spans:
+/// below 64 ids no saturated span can occur, and the walker's per-call
+/// setup (span probes, a zeroed mask buffer, data-dependent branches)
+/// costs 2–10× a plain `words[e >> 6] >> (e & 63)` count on a 16-word
+/// bitmap at lengths 4 to 63 (E21 `… short` rows). That is the shape
+/// of the greedy oracle's stored projections: ~5 ids each, tens of
+/// thousands of calls per query. Insertion and the filtering emit keep
+/// the scalar span walk here: insertion runs once per iteration, on
+/// the sample, and the emit's branchy probe loses on dense few-id
+/// slices. Slices long enough for the vector path to win are far
+/// above this bar.
 const SHORT_SLICE: usize = 64;
 
 /// `|bitmap ∩ elems|` for ascending ids, on the active backend.
@@ -672,14 +690,18 @@ const SHORT_SLICE: usize = 64;
 /// # Panics
 ///
 /// Panics if the largest id addresses a word outside `words`. Ids
-/// must be ascending (callers check; violations only degrade the
-/// count, never memory safety, because every id is bounds-asserted
-/// through the largest one — unsorted input with a small last id
-/// panics in the kernels' slice indexing).
+/// must be strictly ascending (callers check; violations only degrade
+/// the count — a repeated id counts once in the span walk but once per
+/// copy in the short-slice probe — never memory safety, because every
+/// id is bounds-asserted through the largest one and unsorted input
+/// with a small last id panics in the kernels' slice indexing).
 pub fn intersection_count_sorted(words: &[u64], elems: &[u32]) -> usize {
     check_bounds(words, elems);
     if elems.len() < SHORT_SLICE {
-        return scalar::intersection_count_sorted(words, elems);
+        return elems
+            .iter()
+            .map(|&e| (words[(e >> 6) as usize] >> (e & 63)) as usize & 1)
+            .sum();
     }
     dispatch!(intersection_count_sorted(words, elems))
 }
@@ -703,7 +725,10 @@ pub fn intersect_sorted_into(words: &[u64], elems: &[u32], out: &mut Vec<u32>) {
 pub fn remove_sorted(words: &mut [u64], elems: &[u32]) {
     check_bounds(words, elems);
     if elems.len() < SHORT_SLICE {
-        return scalar::remove_sorted(words, elems);
+        for &e in elems {
+            words[(e >> 6) as usize] &= !(1u64 << (e & 63));
+        }
+        return;
     }
     dispatch!(remove_sorted(words, elems))
 }
@@ -831,6 +856,66 @@ mod tests {
         assert_eq!(saturated_prefix(&[1, 2, 3], 0), 0, "unaligned head");
         let partial: Vec<u32> = (0..63).collect();
         assert_eq!(saturated_prefix(&partial, 0), 0, "63 bits is not a word");
+    }
+
+    /// Sweeps every slice length across the short-slice threshold, so
+    /// both sides of the `SHORT_SLICE` branch (the per-id probe and the
+    /// dispatched span walk) are pinned to the scalar walker and to a
+    /// per-bit model on the same shapes: sparse ids over many words, a
+    /// dense run inside one word, and a prefix of an aligned full-word
+    /// run (the walker's saturated span at exactly 64 ids).
+    #[test]
+    fn short_slice_boundary_sweep() {
+        const WORDS: usize = 40;
+        let universe = (WORDS * 64) as u32;
+        let edges = [0, 63, 64, universe - 1];
+        let mut sparse_pool: Vec<u32> = edges.to_vec();
+        sparse_pool.extend(
+            (0..)
+                .map(|k: u32| (k * 97 + 5) % universe)
+                .filter(|e| !edges.contains(e))
+                .take(SHORT_SLICE + 1),
+        );
+        let aligned: Vec<u32> = (64..128).chain([universe - 1]).collect();
+        let bitmaps = [words(WORDS, 5), vec![!0u64; WORDS]];
+        for len in 0..=SHORT_SLICE + 1 {
+            let mut sparse = sparse_pool[..len].to_vec();
+            sparse.sort_unstable();
+            // A run of `len` ids inside the last word, ending on the
+            // universe's last id (it spills into the previous word only
+            // once `len` exceeds one word).
+            let dense: Vec<u32> = (universe - len as u32..universe).collect();
+            let shapes = [
+                ("sparse", sparse),
+                ("dense", dense),
+                ("aligned", aligned[..len].to_vec()),
+            ];
+            for (shape, elems) in &shapes {
+                assert!(elems.windows(2).all(|w| w[0] < w[1]), "{shape} {len}");
+                for bitmap in &bitmaps {
+                    let bit = |e: u32| bitmap[(e >> 6) as usize] >> (e & 63) & 1 == 1;
+                    let model = elems.iter().filter(|&&e| bit(e)).count();
+                    let got = intersection_count_sorted(bitmap, elems);
+                    assert_eq!(got, model, "count {shape} len {len}");
+                    assert_eq!(
+                        got,
+                        scalar::intersection_count_sorted(bitmap, elems),
+                        "count {shape} len {len}"
+                    );
+
+                    let mut removed = bitmap.clone();
+                    remove_sorted(&mut removed, elems);
+                    let mut removed_ref = bitmap.clone();
+                    scalar::remove_sorted(&mut removed_ref, elems);
+                    let mut model = bitmap.clone();
+                    for &e in elems {
+                        model[(e >> 6) as usize] &= !(1u64 << (e & 63));
+                    }
+                    assert_eq!(removed, model, "remove {shape} len {len}");
+                    assert_eq!(removed, removed_ref, "remove {shape} len {len}");
+                }
+            }
+        }
     }
 
     #[test]
