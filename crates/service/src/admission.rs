@@ -8,11 +8,12 @@
 //! fresh [`Inflight`] job the scheduler owns until retirement. The
 //! [`Intake`] wraps the channel with the two pieces of state admission
 //! threads through the pipeline: a *backlog* of query submissions
-//! already pulled but deferred (a full inflight window), and the
-//! pending [`ReloadRequest`] that ends the current repository
-//! generation — once one is captured, no further channel pulls happen
-//! until the scheduler swaps generations, so every query keeps running
-//! against the repository it was submitted under.
+//! already pulled but deferred (a full inflight window, or a whole
+//! batch submitted up front), and the pending [`ReloadRequest`] that
+//! ends the current repository generation — once one is captured, no
+//! further channel pulls happen until the scheduler swaps generations,
+//! so every query keeps running against the repository it was
+//! submitted under.
 
 use crate::job::{make_job, CoverJob};
 use crate::metrics::ServiceMetrics;
@@ -23,7 +24,7 @@ use sc_setsystem::SetSystem;
 use sc_stream::SetStream;
 use sc_telemetry::EventKind;
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SendError, SyncSender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SendError, SyncSender, TryRecvError};
 use std::time::Instant;
 
 /// What clients push down the submission channel.
@@ -79,15 +80,6 @@ impl<T> ReplyTx<T> {
     }
 }
 
-impl<T> Clone for ReplyTx<T> {
-    fn clone(&self) -> Self {
-        Self {
-            tx: self.tx.clone(),
-            wake: self.wake.clone(),
-        }
-    }
-}
-
 /// One admitted query inside the epoch loop.
 pub(crate) struct Inflight<'a> {
     pub id: u64,
@@ -95,8 +87,8 @@ pub(crate) struct Inflight<'a> {
     pub job: Box<dyn CoverJob<'a> + 'a>,
     pub submitted: Instant,
     pub admitted: Instant,
-    /// `None` in batch mode (outcomes are returned positionally).
-    pub reply: Option<ReplyTx<QueryOutcome>>,
+    /// Where retirement delivers the outcome (the submitter's ticket).
+    pub reply: ReplyTx<QueryOutcome>,
     /// Identical queries coalesced onto this job
     /// ([`ServiceConfig::coalesce`](crate::ServiceConfig)); retirement
     /// fans a reply out per follower.
@@ -105,14 +97,12 @@ pub(crate) struct Inflight<'a> {
 
 /// A query riding an identical in-flight job instead of running.
 pub(crate) struct Follower {
-    /// Batch-mode outcome slot (mirrors the id in serve mode).
-    pub slot: usize,
     pub id: u64,
     pub submitted: Instant,
     /// When the query attached to the job (its queue wait ends here).
     pub attached: Instant,
-    /// `None` in batch mode.
-    pub reply: Option<ReplyTx<QueryOutcome>>,
+    /// Where retirement delivers the follower's fanned outcome.
+    pub reply: ReplyTx<QueryOutcome>,
 }
 
 /// How one submission was disposed of by
@@ -127,10 +117,10 @@ pub(crate) enum Admitted<'a> {
     Answered,
 }
 
-/// The serve-mode intake: the submission channel plus the deferred-work
+/// A lane's intake: the submission channel plus the deferred-work
 /// state admission threads through the pipeline stages.
-pub(crate) struct Intake<'rx> {
-    rx: &'rx Receiver<Submission>,
+pub(crate) struct Intake {
+    rx: Receiver<Submission>,
     /// `false` once every [`ServiceHandle`](crate::ServiceHandle)
     /// clone was dropped — the channel yields nothing further.
     pub open: bool,
@@ -139,18 +129,32 @@ pub(crate) struct Intake<'rx> {
     /// for the next generation), but the backlog — pulled *before* the
     /// reload — still drains on the current one.
     pub reload: Option<ReloadRequest>,
-    /// Query submissions pulled but deferred by a full inflight window;
-    /// consumed before the channel so arrival order is preserved.
+    /// Query submissions waiting for an epoch boundary: deferred by a
+    /// full inflight window, or a batch submitted up front. Consumed
+    /// before the channel so arrival order is preserved, and only at
+    /// boundaries — the mid-scan drain reads the channel alone.
     pub backlog: VecDeque<QuerySubmission>,
 }
 
-impl<'rx> Intake<'rx> {
-    pub fn new(rx: &'rx Receiver<Submission>) -> Self {
+impl Intake {
+    pub fn new(rx: Receiver<Submission>) -> Self {
         Self {
             rx,
             open: true,
             reload: None,
             backlog: VecDeque::new(),
+        }
+    }
+
+    /// A closed intake holding `batch` in its backlog: every query is
+    /// already submitted and nothing further can arrive, so each one
+    /// is admitted at an epoch boundary, in order.
+    pub fn prefilled(batch: VecDeque<QuerySubmission>) -> Self {
+        let (_, rx) = mpsc::sync_channel(0);
+        Self {
+            open: false,
+            backlog: batch,
+            ..Self::new(rx)
         }
     }
 
@@ -172,13 +176,10 @@ impl<'rx> Intake<'rx> {
         }
     }
 
-    /// Pulls the next query without blocking: backlog first, then the
-    /// channel. `None` when nothing is immediately available (or the
-    /// channel closed / a reload was captured).
-    pub fn pull_nonblocking(&mut self) -> Option<QuerySubmission> {
-        if let Some(q) = self.backlog.pop_front() {
-            return Some(q);
-        }
+    /// Takes the next query off the *channel* without blocking, never
+    /// from the backlog. `None` when nothing is immediately available
+    /// (or the channel closed / a reload was captured).
+    fn try_channel(&mut self) -> Option<QuerySubmission> {
         if !self.draining_rx() {
             return None;
         }
@@ -192,13 +193,10 @@ impl<'rx> Intake<'rx> {
         }
     }
 
-    /// Pulls the next query, blocking on the channel while it can still
-    /// yield one (an idle scheduler waiting for work). `None` when the
-    /// channel closed or a reload was captured.
-    pub fn pull_blocking(&mut self) -> Option<QuerySubmission> {
-        if let Some(q) = self.backlog.pop_front() {
-            return Some(q);
-        }
+    /// Takes the next query off the *channel*, blocking while it can
+    /// still yield one. `None` when the channel closed or a reload was
+    /// captured.
+    fn recv_channel(&mut self) -> Option<QuerySubmission> {
         if !self.draining_rx() {
             return None;
         }
@@ -211,14 +209,24 @@ impl<'rx> Intake<'rx> {
         }
     }
 
+    /// Pulls the next query without blocking: backlog first, then the
+    /// channel.
+    pub fn pull_nonblocking(&mut self) -> Option<QuerySubmission> {
+        self.backlog.pop_front().or_else(|| self.try_channel())
+    }
+
+    /// Pulls the next query, backlog first, then blocking on the
+    /// channel (an idle scheduler waiting for work).
+    pub fn pull_blocking(&mut self) -> Option<QuerySubmission> {
+        self.backlog.pop_front().or_else(|| self.recv_channel())
+    }
+
     /// Pulls the next query from the *channel only*, blocking until
     /// `deadline` at most — the admission-window wait. `None` on
     /// timeout, channel close, or a captured reload (the caller
     /// distinguishes timeout by the clock). The backlog is left
-    /// untouched: its entries were already examined and deferred (no
-    /// slot, no leader), so re-pulling them would cycle them through
-    /// the splice forever without ever reaching the deadline check;
-    /// only a genuinely new arrival can release the window.
+    /// untouched: its entries wait for the next boundary, so only a
+    /// genuinely new arrival can release the window.
     pub fn pull_channel_deadline(&mut self, deadline: Instant) -> Option<QuerySubmission> {
         if !self.draining_rx() {
             return None;
@@ -238,11 +246,18 @@ impl<'rx> Intake<'rx> {
 
     /// Drains arrivals into `pending` while a scan's fan-out runs — the
     /// non-blocking accept path, a pure `try_recv` drain between the
-    /// lane thread's claims. Stops at `limit` pending arrivals, on
-    /// an empty channel, and on close/reload.
+    /// lane thread's claims. It reads the channel only: a backlog
+    /// entry waits for the next boundary, where it is admitted ahead
+    /// of anything newer (a deferred query is never re-probed once per
+    /// epoch it waits, and a batch keeps its boundary-only admission).
+    /// Stops on an empty channel, on close/reload, and once `pending`
+    /// and the backlog together hold `limit` queries — so a lane that
+    /// falls behind leaves the rest in the bounded channel, where they
+    /// push back on submitters, instead of moving them to the
+    /// unbounded backlog.
     pub fn poll_into(&mut self, pending: &mut Vec<PendingArrival>, limit: usize) {
-        while pending.len() < limit {
-            let Some(sub) = self.pull_nonblocking() else {
+        while pending.len() + self.backlog.len() < limit {
+            let Some(sub) = self.try_channel() else {
                 return;
             };
             pending.push(PendingArrival {
@@ -267,44 +282,39 @@ pub(crate) struct PendingArrival {
 impl Service {
     /// Attaches a query to an identical in-flight job as a follower
     /// (when [`ServiceConfig::coalesce`](crate::ServiceConfig) is on
-    /// and such a job exists). Returns `true` when the query was
-    /// coalesced — it will be answered by that job's retirement and
-    /// must not become a job of its own. The cache is consulted
-    /// *before* this (a retired answer in zero scans beats waiting for
-    /// an in-flight job), so coalescing only ever sees cache misses.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn try_coalesce<'a>(
+    /// and such a job exists); `attached` ends its queue wait. A
+    /// coalesced query is answered by that job's retirement; without
+    /// a leader the submission comes back to become a job of its own.
+    /// The cache is consulted *before* this (a retired answer in zero
+    /// scans beats waiting for an in-flight job), so coalescing only
+    /// ever sees cache misses.
+    pub(crate) fn try_coalesce(
         &self,
         gen: &RepositoryGeneration,
-        spec: &QuerySpec,
-        slot: usize,
-        id: u64,
-        submitted: Instant,
+        sub: QuerySubmission,
         attached: Instant,
-        reply: Option<ReplyTx<QueryOutcome>>,
-        inflight: &mut [(usize, Inflight<'a>)],
-    ) -> bool {
+        inflight: &mut [Inflight<'_>],
+    ) -> Result<(), QuerySubmission> {
         if !self.config().coalesce {
-            return false;
+            return Err(sub);
         }
-        let Some((_, leader)) = inflight.iter_mut().find(|(_, fl)| fl.spec == *spec) else {
-            return false;
+        let Some(leader) = inflight.iter_mut().find(|fl| fl.spec == sub.spec) else {
+            return Err(sub);
         };
         debug_assert_eq!(
             leader.spec.to_string(),
-            spec.to_string(),
+            sub.spec.to_string(),
             "coalesce keys must agree on the canonical spec"
         );
         gen.tenant.counters().bump(LedgerEvent::Coalesced);
-        sc_telemetry::event(EventKind::Coalesced, id, gen.id, 0, 0);
+        sc_telemetry::event(EventKind::Coalesced, sub.id, gen.id, 0, 0);
         leader.followers.push(Follower {
-            slot,
-            id,
-            submitted,
+            id: sub.id,
+            submitted: sub.submitted,
             attached,
-            reply,
+            reply: sub.reply,
         });
-        true
+        Ok(())
     }
 
     /// Answers one submission from the cache (delivering the outcome
@@ -318,29 +328,16 @@ impl Service {
         gen: &RepositoryGeneration,
         sub: QuerySubmission,
         root: &SetStream<'g>,
-        inflight: &mut [(usize, Inflight<'g>)],
+        inflight: &mut [Inflight<'g>],
         metrics: &mut ServiceMetrics,
         at: Instant,
     ) -> Admitted<'g> {
-        if let Some(answer) = self.cache_lookup(gen, &sub.spec) {
-            let outcome = self.cached_outcome(gen, sub.id, sub.spec, sub.submitted, answer);
-            self.deliver_cached(gen, &outcome, metrics);
-            // The client may have dropped its ticket; that is fine.
-            let _ = sub.reply.send(outcome);
+        let Err(sub) = self.answer_from_cache(gen, sub, metrics) else {
             return Admitted::Answered;
-        }
-        if self.try_coalesce(
-            gen,
-            &sub.spec,
-            sub.id as usize,
-            sub.id,
-            sub.submitted,
-            at,
-            Some(sub.reply.clone()),
-            inflight,
-        ) {
+        };
+        let Err(sub) = self.try_coalesce(gen, sub, at, inflight) else {
             return Admitted::Coalesced;
-        }
+        };
         self.count_job(gen);
         Admitted::Job(Inflight {
             id: sub.id,
@@ -348,7 +345,7 @@ impl Service {
             job: make_job(&sub.spec, root),
             submitted: sub.submitted,
             admitted: at,
-            reply: Some(sub.reply),
+            reply: sub.reply,
             followers: Vec::new(),
         })
     }
@@ -363,36 +360,23 @@ impl Service {
     /// guarantees disposal either way, so a deferred submission is
     /// never counted as a miss twice. `Ok(true)` means the query
     /// coalesced (the window's company arrived).
-    pub(crate) fn dispose_past_full_window<'g>(
+    pub(crate) fn dispose_past_full_window(
         &self,
         gen: &RepositoryGeneration,
         sub: QuerySubmission,
-        inflight: &mut [(usize, Inflight<'g>)],
+        inflight: &mut [Inflight<'_>],
         metrics: &mut ServiceMetrics,
         attached: Instant,
     ) -> Result<bool, QuerySubmission> {
-        let has_leader =
-            self.config().coalesce && inflight.iter().any(|(_, fl)| fl.spec == sub.spec);
+        let has_leader = self.config().coalesce && inflight.iter().any(|fl| fl.spec == sub.spec);
         if !has_leader {
             return Err(sub);
         }
-        if let Some(answer) = self.cache_lookup(gen, &sub.spec) {
-            let outcome = self.cached_outcome(gen, sub.id, sub.spec, sub.submitted, answer);
-            self.deliver_cached(gen, &outcome, metrics);
-            let _ = sub.reply.send(outcome);
+        let Err(sub) = self.answer_from_cache(gen, sub, metrics) else {
             return Ok(false);
-        }
-        let coalesced = self.try_coalesce(
-            gen,
-            &sub.spec,
-            sub.id as usize,
-            sub.id,
-            sub.submitted,
-            attached,
-            Some(sub.reply.clone()),
-            inflight,
-        );
-        debug_assert!(coalesced, "the leader cannot vanish mid-disposal");
+        };
+        let coalesced = self.try_coalesce(gen, sub, attached, inflight);
+        debug_assert!(coalesced.is_ok(), "the leader cannot vanish mid-disposal");
         Ok(true)
     }
 
@@ -402,9 +386,8 @@ impl Service {
     /// would add an epoch of latency for nothing. Each arrival is
     /// probed exactly once here; misses stay pending (the splice
     /// probes once more at the boundary, which can even catch an entry
-    /// a twin job populated in the meantime; that second probe shows
-    /// up only in [`OutcomeCache::stats`](crate::OutcomeCache::stats)
-    /// miss counts, never in [`ServiceMetrics`]).
+    /// a twin job populated in the meantime; that second probe is a
+    /// lookup only, never a ledger count).
     pub(crate) fn answer_drained_hits(
         &self,
         gen: &RepositoryGeneration,
@@ -415,81 +398,66 @@ impl Service {
         if !self.cache_enabled() || from >= pending.len() {
             return;
         }
-        let fresh = pending.split_off(from);
-        for arrival in fresh {
-            let Some(answer) = self.cache_lookup(gen, &arrival.sub.spec) else {
-                pending.push(arrival);
-                continue;
-            };
-            let outcome = self.cached_outcome(
-                gen,
-                arrival.sub.id,
-                arrival.sub.spec,
-                arrival.sub.submitted,
-                answer,
-            );
-            self.deliver_cached(gen, &outcome, metrics);
-            let _ = arrival.sub.reply.send(outcome);
+        for PendingArrival { sub, drained } in pending.split_off(from) {
+            if let Err(sub) = self.answer_from_cache(gen, sub, metrics) {
+                pending.push(PendingArrival { sub, drained });
+            }
         }
     }
 
-    /// Builds the outcome of a cache hit: the stored solo observables
-    /// (bit-identical to the run that populated the entry) under the
-    /// caller's submission timing, in zero physical scans.
-    pub(crate) fn cached_outcome(
+    /// Answers `sub` from the outcome cache: the stored solo
+    /// observables (bit-identical to the run that populated the entry)
+    /// under the submission's own id and timing, in zero physical
+    /// scans, delivered at once and recorded in the run's latency
+    /// histograms and the tenant's ledger. A miss hands `sub` back.
+    fn answer_from_cache(
         &self,
         gen: &RepositoryGeneration,
-        id: u64,
-        spec: QuerySpec,
-        submitted: Instant,
-        answer: crate::cache::CachedAnswer,
-    ) -> QueryOutcome {
-        QueryOutcome {
-            id,
-            spec,
+        sub: QuerySubmission,
+        metrics: &mut ServiceMetrics,
+    ) -> Result<(), QuerySubmission> {
+        let Some(answer) = self.cache_lookup(gen, &sub.spec) else {
+            return Err(sub);
+        };
+        let outcome = QueryOutcome {
+            id: sub.id,
+            spec: sub.spec,
             cover: answer.cover,
             covered: answer.covered,
             required: answer.required,
             logical_passes: answer.logical_passes,
             space_words: answer.space_words,
             epochs_joined: 0,
-            queue_wait: submitted.elapsed(),
-            latency: submitted.elapsed(),
+            queue_wait: sub.submitted.elapsed(),
+            latency: sub.submitted.elapsed(),
             cached: true,
             coalesced: false,
             generation: gen.id,
             tenant: gen.tenant.name_handle(),
-        }
+        };
+        metrics.queue_wait.record(outcome.queue_wait);
+        metrics.latency.record(outcome.latency);
+        gen.tenant.counters().bump(LedgerEvent::CacheHit);
+        gen.tenant.counters().bump(LedgerEvent::Completed);
+        sc_telemetry::event(EventKind::CacheHit, outcome.id, outcome.generation, 0, 0);
+        // The client may have dropped its ticket; that is fine.
+        let _ = sub.reply.send(outcome);
+        Ok(())
     }
 
     /// Counts a fresh job (and, with the cache on, the miss that made
     /// it) in the tenant's ledger.
-    pub(crate) fn count_job(&self, gen: &RepositoryGeneration) {
+    fn count_job(&self, gen: &RepositoryGeneration) {
         if self.cache_enabled() {
             gen.tenant.counters().bump(LedgerEvent::CacheMiss);
         }
         gen.tenant.counters().bump(LedgerEvent::Job);
     }
 
-    /// Records a cache hit: the run's latency histograms and the
-    /// tenant's ledger.
-    pub(crate) fn deliver_cached(
-        &self,
-        gen: &RepositoryGeneration,
-        outcome: &QueryOutcome,
-        metrics: &mut ServiceMetrics,
-    ) {
-        metrics.queue_wait.record(outcome.queue_wait);
-        metrics.latency.record(outcome.latency);
-        gen.tenant.counters().bump(LedgerEvent::CacheHit);
-        gen.tenant.counters().bump(LedgerEvent::Completed);
-        sc_telemetry::event(EventKind::CacheHit, outcome.id, outcome.generation, 0, 0);
-    }
-
     /// Cache lookup under a generation's repository identity (the
     /// owning tenant's cache partition, keyed by fingerprint, plus the
     /// dimension cross-check).
-    pub(crate) fn cache_lookup(
+    fn cache_lookup(
         &self,
         gen: &RepositoryGeneration,
         spec: &QuerySpec,
@@ -505,9 +473,7 @@ impl Service {
 
     /// `true` when this service actually caches outcomes — a disabled
     /// cache neither stores answers nor counts traffic
-    /// ([`ServiceMetrics::cache_misses`] stays zero, matching
-    /// [`OutcomeCache::stats`](crate::OutcomeCache::stats)'s
-    /// disabled-cache semantics).
+    /// ([`ServiceMetrics::cache_misses`] stays zero).
     pub(crate) fn cache_enabled(&self) -> bool {
         self.cache().capacity() > 0
     }
@@ -642,18 +608,17 @@ mod tests {
         assert!(woken(&wake, || rx.try_recv().ok()).cached);
 
         let (sub, rx) = submission(11);
-        let mut inflight = vec![(
-            0,
-            Inflight {
-                id: 0,
-                spec: iter(1),
-                job: make_job(&iter(1), &root),
-                submitted: Instant::now(),
-                admitted: Instant::now(),
-                reply: None,
-                followers: Vec::new(),
-            },
-        )];
+        // The leader is never retired here, so its reply never fires.
+        let (leader, _leader_rx) = submission(0);
+        let mut inflight = vec![Inflight {
+            id: leader.id,
+            spec: leader.spec,
+            job: make_job(&leader.spec, &root),
+            submitted: leader.submitted,
+            admitted: Instant::now(),
+            reply: leader.reply,
+            followers: Vec::new(),
+        }];
         let disposed = service.dispose_past_full_window(
             &gen,
             sub,
@@ -663,5 +628,49 @@ mod tests {
         );
         assert!(matches!(disposed, Ok(false)), "answered from the cache");
         assert!(woken(&wake, || rx.try_recv().ok()).cached);
+    }
+
+    /// A submission whose ticket is dropped: the drain test looks only
+    /// at where submissions sit, never at replies.
+    fn unanswered(id: u64) -> QuerySubmission {
+        let (tx, _) = mpsc::sync_channel(1);
+        QuerySubmission {
+            id,
+            spec: iter(id),
+            submitted: Instant::now(),
+            reply: ReplyTx::new(tx, None),
+        }
+    }
+
+    #[test]
+    fn the_mid_scan_drain_reads_only_the_channel() {
+        let (tx, rx) = mpsc::sync_channel(4);
+        let mut intake = Intake::new(rx);
+        intake.backlog.push_back(unanswered(1));
+        tx.send(Submission::Query(unanswered(2))).expect("open");
+        let mut pending = Vec::new();
+        intake.poll_into(&mut pending, 8);
+        let drained: Vec<u64> = pending.iter().map(|a| a.sub.id).collect();
+        assert_eq!(drained, [2], "only the channel entry is drained");
+        let waiting: Vec<u64> = intake.backlog.iter().map(|s| s.id).collect();
+        assert_eq!(waiting, [1], "the deferred entry stays in the backlog");
+        // The next boundary still takes the backlog first.
+        assert_eq!(intake.pull_nonblocking().map(|s| s.id), Some(1));
+        assert!(intake.open, "the channel is still open");
+    }
+
+    #[test]
+    fn a_full_backlog_stops_the_mid_scan_drain() {
+        let (tx, rx) = mpsc::sync_channel(4);
+        let mut intake = Intake::new(rx);
+        intake.backlog.extend((1..=3).map(unanswered));
+        tx.send(Submission::Query(unanswered(4))).expect("open");
+        let mut pending = Vec::new();
+        intake.poll_into(&mut pending, 3);
+        assert!(pending.is_empty(), "the backlog already holds `limit`");
+        intake.backlog.pop_front();
+        intake.poll_into(&mut pending, 3);
+        let drained: Vec<u64> = pending.iter().map(|a| a.sub.id).collect();
+        assert_eq!(drained, [4], "a freed place takes one channel entry");
     }
 }

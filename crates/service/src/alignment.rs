@@ -38,7 +38,7 @@ use std::time::Instant;
 /// jobs inside the scan epochs plus the group's pass bookkeeping.
 pub(crate) struct EpochState<'a> {
     /// The admitted jobs, in admission order (retirement preserves it).
-    pub inflight: Vec<(usize, Inflight<'a>)>,
+    pub inflight: Vec<Inflight<'a>>,
     /// Scans the current epoch group has run — the group-side pass
     /// index joiners align against. Reset to zero whenever the
     /// scheduler goes idle (the next admission starts a fresh group).
@@ -69,7 +69,9 @@ impl<'a> EpochState<'a> {
 /// instant — the moment the scheduler committed the in-flight scan to
 /// it. Jobs with nothing to scan are parked (returned) for the caller
 /// to add after the splice; fresh jobs that found no room go back to
-/// the intake's backlog for the next boundary.
+/// the intake's backlog for the next boundary. (The boundary refills
+/// freed slots from the backlog before the scan starts, so a deferred
+/// query is never waiting here while a slot is free.)
 ///
 /// When `window` is armed (a lone fresh head's first scan), the
 /// boundary is held open up to the deadline for company: the wait
@@ -85,11 +87,11 @@ pub(crate) fn splice_pending<'g>(
     feed: &ShardedPass<'g>,
     scan_tag: usize,
     state: &mut EpochState<'g>,
-    intake: &mut Intake<'_>,
+    intake: &mut Intake,
     pending: &mut Vec<PendingArrival>,
     window: Option<Instant>,
     metrics: &mut ServiceMetrics,
-) -> Vec<(usize, Inflight<'g>)> {
+) -> Vec<Inflight<'g>> {
     let mut parked = Vec::new();
     let mut deadline = window;
     loop {
@@ -165,10 +167,10 @@ pub(crate) fn splice_pending<'g>(
                                 state.group_pass as u32,
                             );
                         }
-                        state.inflight.push((fl.id as usize, fl));
+                        state.inflight.push(fl);
                         deadline = None;
                     } else {
-                        parked.push((fl.id as usize, fl));
+                        parked.push(fl);
                     }
                 }
             }

@@ -119,10 +119,6 @@ struct Inner {
     by_stamp: BTreeMap<u64, CacheKey>,
     /// Monotonic stamp source for the eviction order.
     tick: u64,
-    hits: u64,
-    misses: u64,
-    capacity_evictions: u64,
-    fingerprint_evictions: u64,
 }
 
 impl Inner {
@@ -189,20 +185,6 @@ impl OutcomeCache {
         self.len() == 0
     }
 
-    /// Lifetime `(hits, misses)` across every service using this cache.
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("cache poisoned");
-        (inner.hits, inner.misses)
-    }
-
-    /// Lifetime evictions as `(capacity, fingerprint)`: entries pushed
-    /// out by the bound (under whichever policy) and entries reaped
-    /// because their repository generation died in a hot swap.
-    pub fn eviction_stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("cache poisoned");
-        (inner.capacity_evictions, inner.fingerprint_evictions)
-    }
-
     /// A 64-bit FNV-1a fingerprint of a repository's full contents
     /// (universe size, family size, and every set's elements, in
     /// repository order). Any structural difference changes it with
@@ -238,11 +220,13 @@ impl OutcomeCache {
     }
 
     /// Looks up the answer for `spec` against the repository with the
-    /// given fingerprint and dimensions, updating the hit/miss
-    /// counters. A fingerprint match whose stored dimensions differ
-    /// from `universe`/`num_sets` is a hash collision between
-    /// different repositories and counts as a miss. Under LRU, a hit
-    /// refreshes the entry's eviction stamp.
+    /// given fingerprint and dimensions. A fingerprint match whose
+    /// stored dimensions differ from `universe`/`num_sets` is a hash
+    /// collision between different repositories and misses. Under
+    /// LRU, a hit refreshes the entry's eviction stamp. Hits and misses
+    /// are counted by the caller, in the tenant's ledger
+    /// ([`LedgerEvent::CacheHit`](crate::LedgerEvent::CacheHit) /
+    /// [`CacheMiss`](crate::LedgerEvent::CacheMiss)).
     pub fn lookup(
         &self,
         tenant: u64,
@@ -258,28 +242,18 @@ impl OutcomeCache {
         let mut inner = self.inner.lock().expect("cache poisoned");
         let inner = &mut *inner;
         let stamp = (self.policy == EvictionPolicy::Lru).then(|| inner.next_stamp());
-        match inner
+        let stored = inner
             .map
             .get_mut(&key)
-            .filter(|stored| stored.universe == universe && stored.num_sets == num_sets)
-        {
-            Some(stored) => {
-                if let Some(stamp) = stamp {
-                    // LRU refresh: the entry moves to the young end of
-                    // the stamp index.
-                    inner.by_stamp.remove(&stored.stamp);
-                    inner.by_stamp.insert(stamp, key);
-                    stored.stamp = stamp;
-                }
-                let answer = stored.answer.clone();
-                inner.hits += 1;
-                Some(answer)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
+            .filter(|stored| stored.universe == universe && stored.num_sets == num_sets)?;
+        if let Some(stamp) = stamp {
+            // LRU refresh: the entry moves to the young end of the
+            // stamp index.
+            inner.by_stamp.remove(&stored.stamp);
+            inner.by_stamp.insert(stamp, key);
+            stored.stamp = stamp;
         }
+        Some(stored.answer.clone())
     }
 
     /// Stores the answer a completed query produced against the
@@ -341,7 +315,6 @@ impl OutcomeCache {
                     inner.map.remove(&victim);
                     evicted += 1;
                 }
-                inner.capacity_evictions += evicted as u64;
                 evicted
             }
         }
@@ -367,9 +340,7 @@ impl OutcomeCache {
         inner
             .by_stamp
             .retain(|_, (t, fp, _)| *t != tenant || *fp != fingerprint);
-        let reaped = before - inner.map.len();
-        inner.fingerprint_evictions += reaped as u64;
-        reaped
+        before - inner.map.len()
     }
 }
 
@@ -413,7 +384,6 @@ mod tests {
         assert_eq!(cache.lookup(0, 1, 3, 2, &spec(7)), Some(answer(1)));
         assert_eq!(cache.lookup(0, 2, 3, 2, &spec(7)), None, "other repository");
         assert_eq!(cache.lookup(0, 1, 3, 2, &spec(8)), None, "other spec");
-        assert_eq!(cache.stats(), (1, 2));
     }
 
     #[test]
@@ -424,19 +394,22 @@ mod tests {
         // the dimension cross-check turns it into a miss.
         assert_eq!(cache.lookup(0, 1, 4, 2, &spec(7)), None, "universe differs");
         assert_eq!(cache.lookup(0, 1, 3, 5, &spec(7)), None, "family differs");
-        assert_eq!(cache.stats(), (0, 2));
     }
 
     #[test]
     fn fifo_eviction_keeps_the_bound() {
         let cache = OutcomeCache::new(2);
-        for s in 0..5u64 {
-            cache.insert(0, 0, 3, 2, &spec(s), answer(s as usize));
-        }
+        let evicted: Vec<usize> = (0..5u64)
+            .map(|s| cache.insert(0, 0, 3, 2, &spec(s), answer(s as usize)))
+            .collect();
+        assert_eq!(
+            evicted,
+            [0, 0, 1, 1, 1],
+            "one victim per insert past the bound"
+        );
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.lookup(0, 0, 3, 2, &spec(0)), None, "oldest evicted");
         assert_eq!(cache.lookup(0, 0, 3, 2, &spec(4)), Some(answer(4)));
-        assert_eq!(cache.eviction_stats(), (3, 0));
     }
 
     #[test]
@@ -473,22 +446,21 @@ mod tests {
         cache.insert(0, 0, 3, 2, &spec(1), answer(1));
         // Touch the older entry: the *other* one becomes the victim.
         assert!(cache.lookup(0, 0, 3, 2, &spec(0)).is_some());
-        cache.insert(0, 0, 3, 2, &spec(2), answer(2));
+        assert_eq!(cache.insert(0, 0, 3, 2, &spec(2), answer(2)), 1);
         assert!(cache.lookup(0, 0, 3, 2, &spec(0)).is_some(), "refreshed");
         assert_eq!(cache.lookup(0, 0, 3, 2, &spec(1)), None, "LRU victim");
-        assert_eq!(cache.eviction_stats(), (1, 0));
     }
 
     #[test]
     fn evict_fingerprint_reaps_only_the_dead_generation() {
         let cache = OutcomeCache::new(8);
-        cache.insert(0, 1, 3, 2, &spec(0), answer(0));
-        cache.insert(0, 1, 3, 2, &spec(1), answer(1));
-        cache.insert(0, 2, 3, 2, &spec(0), answer(2));
+        let evicted = cache.insert(0, 1, 3, 2, &spec(0), answer(0))
+            + cache.insert(0, 1, 3, 2, &spec(1), answer(1))
+            + cache.insert(0, 2, 3, 2, &spec(0), answer(2));
+        assert_eq!(evicted, 0, "no capacity eviction below the bound");
         assert_eq!(cache.evict_fingerprint(0, 1), 2);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.lookup(0, 2, 3, 2, &spec(0)), Some(answer(2)));
-        assert_eq!(cache.eviction_stats(), (0, 2));
         assert_eq!(cache.evict_fingerprint(0, 1), 0, "already reaped");
     }
 
@@ -535,10 +507,9 @@ mod tests {
     #[test]
     fn zero_capacity_disables() {
         let cache = OutcomeCache::new(0);
-        cache.insert(0, 0, 3, 2, &spec(1), answer(1));
+        assert_eq!(cache.insert(0, 0, 3, 2, &spec(1), answer(1)), 0);
         assert_eq!(cache.lookup(0, 0, 3, 2, &spec(1)), None);
         assert!(cache.is_empty());
-        assert_eq!(cache.stats(), (0, 0), "disabled caches do not count");
         assert_eq!(cache.evict_fingerprint(0, 0), 0);
     }
 }

@@ -12,57 +12,25 @@
 //! [`FairGate`] unit ([`ShardInterleave`]): all granted tenant lanes
 //! advance their in-flight epochs through the machine concurrently,
 //! with deficit round robin charged per `(tenant, shard)` unit. A batch
-//! run is the same path with one lane on a one-lane gate, whose solo
-//! fast path skips arbitration.
+//! run is a lane like any other, on a one-lane gate whose solo fast
+//! path skips arbitration.
 //!
 //! The worker that absorbs a job's last shard runs that job's
 //! `end_scan` on the spot, outside its gate unit, so the scan boundary
 //! of disjoint jobs runs in parallel instead of serially after the
 //! fan-out.
 //!
-//! The lane thread is one of the workers. In serve mode it drains the
-//! submission channel into the pending-arrival buffer between its
-//! claims (the **non-blocking accept** half of the pipeline — see
-//! [`alignment`](crate::alignment) for the splice that happens at the
-//! scan boundary).
+//! The lane thread is one of the workers. Between its claims it runs
+//! the lane's drain, which moves channel arrivals into the
+//! pending-arrival buffer (the **non-blocking accept** half of the
+//! pipeline — see [`alignment`](crate::alignment) for the splice that
+//! happens at the scan boundary).
 
-use crate::admission::{Inflight, Intake, PendingArrival};
+use crate::admission::Inflight;
 use crate::fairness::FairGate;
-use crate::metrics::ServiceMetrics;
-use crate::service::Service;
-use crate::tenants::{LedgerEvent, RepositoryGeneration, TenantCounters};
+use crate::tenants::{LedgerEvent, TenantCounters};
 use sc_stream::{Claim, InterleavedCursor, LaneFeed, ShardedPass};
 use std::sync::Mutex;
-
-/// Everything the lane thread needs to accept arrivals while the
-/// fan-out runs: the intake to drain, the pending buffer the splice
-/// will consume, and the service context for answering cache hits on
-/// the spot (a hit needs neither a slot nor the scan, so it never
-/// waits for the boundary).
-pub(crate) struct ArrivalDrain<'x, 'rx> {
-    pub service: &'x Service,
-    pub gen: &'x RepositoryGeneration,
-    pub intake: &'x mut Intake<'rx>,
-    pub pending: &'x mut Vec<PendingArrival>,
-    pub limit: usize,
-    pub metrics: &'x mut ServiceMetrics,
-}
-
-impl ArrivalDrain<'_, '_> {
-    /// One drain round: pull arrivals without blocking, answer the
-    /// cache hits among the *newly* drained ones immediately, keep the
-    /// misses pending for the splice. Arrivals that already missed are
-    /// not re-probed every round — only retirement on this same thread
-    /// can insert, so a pending miss stays a miss until the scan
-    /// boundary (where the splice probes once more, covering the
-    /// shared-cache twin case).
-    fn tick(&mut self) {
-        let fresh_from = self.pending.len();
-        self.intake.poll_into(self.pending, self.limit);
-        self.service
-            .answer_drained_hits(self.gen, self.pending, fresh_from, self.metrics);
-    }
-}
 
 /// Everything the fan-out needs to interleave this lane's scan with its
 /// neighbours': the machine-wide [`FairGate`] metering `(tenant,
@@ -89,11 +57,10 @@ pub(crate) struct ShardInterleave<'x> {
 /// and then runs the job's `end_scan`.
 ///
 /// The calling lane thread is one of the `workers` and runs the same
-/// claim loop as the `workers − 1` scoped threads beside it; with
-/// `drain` set (serve mode) it drains arrivals into the pending buffer
-/// between its claims. Every granted unit is counted in the tenant's
-/// ledger as a shard grant (a dying worker propagates its panic
-/// instead of returning).
+/// claim loop as the `workers − 1` scoped threads beside it, calling
+/// `drain` (the lane's arrival drain) between its claims. Every
+/// granted unit is counted in the tenant's ledger as a shard grant (a
+/// dying worker propagates its panic instead of returning).
 ///
 /// Per-lane scheduling semantics (every job sees every shard of its
 /// own tenant's repository exactly once, in order) are [`LaneFeed`]'s
@@ -101,23 +68,22 @@ pub(crate) struct ShardInterleave<'x> {
 /// to a solo run.
 pub(crate) fn fan_out<'g>(
     feed: &ShardedPass<'g>,
-    inflight: &mut [(usize, Inflight<'g>)],
+    inflight: &mut [Inflight<'g>],
     workers: usize,
-    mut drain: Option<&mut ArrivalDrain<'_, '_>>,
+    drain: &mut dyn FnMut(),
     il: &ShardInterleave<'_>,
 ) {
     let shards = feed.num_shards();
     if shards == 0 {
         // An empty repository has no last shard to end the scan on.
-        for (_, fl) in inflight.iter_mut() {
+        for fl in inflight.iter_mut() {
             fl.job.end_scan();
         }
         return;
     }
     let workers = workers.min(inflight.len());
     let lane_feed = il.fanout.attach(inflight.len(), shards);
-    let slots: Vec<Mutex<&mut Inflight<'g>>> =
-        inflight.iter_mut().map(|(_, fl)| Mutex::new(fl)).collect();
+    let slots: Vec<Mutex<&mut Inflight<'g>>> = inflight.iter_mut().map(Mutex::new).collect();
     /// Aborts the lane's feed if the owning worker unwinds mid-unit:
     /// its consumer would stay claimed forever, and siblings would
     /// spin on `Retry` instead of letting the scope join and propagate
@@ -157,24 +123,21 @@ pub(crate) fn fan_out<'g>(
         for _ in 1..workers {
             s.spawn(|| work(&mut || {}));
         }
-        work(&mut || {
-            if let Some(drain) = drain.as_mut() {
-                drain.tick();
-            }
-        });
+        work(drain);
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::ReplyTx;
     use crate::job::{CoverJob, JobResult};
     use crate::query::QuerySpec;
     use crate::tenants::TenantMeta;
     use sc_setsystem::{ElemId, SetId, SetSystem};
     use sc_stream::SetStream;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
     use std::thread::ThreadId;
     use std::time::{Duration, Instant};
 
@@ -275,7 +238,7 @@ mod tests {
         signals: &Arc<Signals>,
         lane_thread: ThreadId,
         faulty: bool,
-    ) -> (Vec<(usize, Inflight<'a>)>, Vec<Arc<Tally>>) {
+    ) -> (Vec<Inflight<'a>>, Vec<Arc<Tally>>) {
         let tallies: Vec<Arc<Tally>> = (0..n).map(|_| Arc::default()).collect();
         let jobs = tallies
             .iter()
@@ -288,16 +251,16 @@ mod tests {
                     lane_thread,
                     faulty,
                 };
-                let fl = Inflight {
+                Inflight {
                     id: i as u64,
                     spec: QuerySpec::GreedyBaseline,
                     job: Box::new(job),
                     submitted: now,
                     admitted: now,
-                    reply: None,
+                    // Never retired here: nothing is ever sent.
+                    reply: ReplyTx::new(mpsc::sync_channel(1).0, None),
                     followers: Vec::new(),
-                };
-                (i, fl)
+                }
             })
             .collect();
         (jobs, tallies)
@@ -329,7 +292,7 @@ mod tests {
                     counters: healthy_meta.counters(),
                 };
                 let _session = gate.enter(1);
-                fan_out(&feed, &mut jobs, 2, None, &il);
+                fan_out(&feed, &mut jobs, 2, &mut || {}, &il);
                 tallies
             });
             let t0 = Instant::now();
@@ -353,7 +316,7 @@ mod tests {
             let outcome = {
                 let _session = gate.enter(0);
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    fan_out(&feed, &mut jobs, 2, None, &il)
+                    fan_out(&feed, &mut jobs, 2, &mut || {}, &il)
                 }))
             };
             assert!(outcome.is_err(), "the boundary panic must propagate");

@@ -27,7 +27,8 @@
 //! When only one lane is live, the gate skips the arbiter entirely (a
 //! single atomic read per unit — the single-tenant fast path), so a
 //! solo service — and [`Service::run_batch`](crate::Service::run_batch),
-//! which runs as one lane on a one-lane gate — pays no gate overhead.
+//! whose prefilled intake runs the same lane loop on a one-lane gate —
+//! pays no gate overhead.
 //!
 //! Everything *outside* the epoch runs ungated: stage-1 admission,
 //! cache hits, retirement replies, and the idle blocking wait on the

@@ -24,15 +24,15 @@
 //!
 //! | stage | module | job |
 //! |---|---|---|
-//! | 1 admission | `admission` | intake from the submission channel (queries, `!reload`), outcome-cache probe, coalesce-or-build disposition, the deferred-work backlog |
+//! | 1 admission | `admission` | intake from the submission channel (queries, `!reload`), outcome-cache probe, coalesce-or-build disposition, the backlog (deferred queries, or a whole batch) admitted only at epoch boundaries |
 //! | 2 alignment | `alignment` | pass-indexed join planning: which queued query splices into which in-flight scan (pass-2 joins pass-2), the splice itself (ledger join + zero-copy replay), the admission window |
 //! | 3 execution | `execution` | the sharded work-stealing fan-out ([`sc_stream::ShardedPass`] through the shared [`sc_stream::InterleavedCursor`], one gate unit per absorbed shard; a batch is one lane), scan boundary included (the worker that absorbs a job's last shard runs its `end_scan`), with the lane thread as one of the workers draining arrivals between its claims (non-blocking accept) |
 //! | 4 retirement | `retirement` | outcome construction (tenant- and generation-tagged), cache fill + eviction accounting, reply fan-out to the query and its coalesced followers |
 //! |  lifecycle | `tenants` | [`TenantRegistry`] / [`Tenant`] / [`RepositoryGeneration`]: named repositories, each a fingerprint-versioned generation chain behind its own hot swap, with per-tenant quotas and counters |
 //! |  fairness | `fairness` | the deficit-round-robin gate arbitrating tenant lanes' scan work per `(tenant, shard)` unit — a hot tenant cannot starve a cold one |
 //!
-//! `service` orchestrates the stages (epoch loop, batch/serve entry
-//! points, the generation outer loop); `cache`, `metrics`, `query`,
+//! `service` orchestrates the stages (the one lane loop both entry
+//! points run, the generation outer loop); `cache`, `metrics`, `query`,
 //! `protocol`, and `net` are the supporting surfaces (outcome cache
 //! with pluggable eviction, per-run metrics, the query grammar,
 //! the typed request/reply wire codec, and the event-driven TCP
@@ -117,9 +117,11 @@
 //!   cache hits cost zero scans (`outcome_cache`).
 //!
 //! Entry points: [`Service::run_batch`] for a fixed workload (all
-//! queries admitted before the first scan — what experiment E17
-//! measures) and [`Service::serve`] for concurrent clients submitting
-//! through a [`ServiceHandle`] with bounded-queue backpressure. The
+//! queries submitted at once and admitted at epoch boundaries — what
+//! experiment E17 measures) and [`Service::serve`] for concurrent
+//! clients submitting through a [`ServiceHandle`] with bounded-queue
+//! backpressure. Both run the same lane loop: a batch is a lane whose
+//! intake was filled in advance and closed. The
 //! line protocol spoken by `sctool serve` lives in [`QuerySpec::parse`]
 //! / [`QueryOutcome::protocol_line`]; the TCP front-end and the
 //! [`net::wait_ready`] readiness probe live in [`net`].

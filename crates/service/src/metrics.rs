@@ -10,9 +10,9 @@ use std::time::Duration;
 /// The query counts (`queries_completed` through `shard_grants`) are
 /// the growth of the tenant's query ledger
 /// ([`TenantCounters`](crate::TenantCounters), one
-/// [`LedgerEvent`] per count) across the run: a serve
-/// lane reads its own tenant's, [`Service::run_batch`](crate::Service::run_batch)
-/// the default tenant's. They are exact as long as no other run drives
+/// [`LedgerEvent`] per count) across the run: every lane reads its
+/// own tenant's, and [`Service::run_batch`](crate::Service::run_batch)
+/// is one lane of the default tenant. They are exact as long as no other run drives
 /// the same tenant at the same time. `physical_scans`,
 /// `max_inflight_seen`, `queue_wait`, `latency`, and `elapsed` are the
 /// run's own.

@@ -5,9 +5,9 @@
 //! retirement builds the [`QueryOutcome`] (tagged with the repository
 //! generation it ran on), populates the outcome cache exactly once —
 //! however many followers coalesced onto it — counts any eviction the
-//! insert caused in the tenant's ledger, and delivers: the reply
-//! channel in serve mode, the `sink` callback in batch mode, then one
-//! fanned reply per follower under the follower's own id and timing.
+//! insert caused in the tenant's ledger, and delivers: the job's reply
+//! channel, then one fanned reply per follower under the follower's
+//! own id and timing.
 
 use crate::admission::Inflight;
 use crate::cache::CachedAnswer;
@@ -20,22 +20,21 @@ use sc_telemetry::EventKind;
 
 impl Service {
     /// Retires every job that no longer wants a scan, in admission
-    /// order (so batch outcomes are deterministic).
-    pub(crate) fn retire<'g>(
+    /// order.
+    pub(crate) fn retire(
         &self,
         gen: &RepositoryGeneration,
-        inflight: &mut Vec<(usize, Inflight<'g>)>,
+        inflight: &mut Vec<Inflight<'_>>,
         metrics: &mut ServiceMetrics,
-        mut sink: impl FnMut(usize, QueryOutcome),
     ) {
         let counters = gen.tenant.counters();
         let mut i = 0;
         while i < inflight.len() {
-            if inflight[i].1.job.wants_scan() {
+            if inflight[i].job.wants_scan() {
                 i += 1;
                 continue;
             }
-            let (slot, fl) = inflight.remove(i);
+            let fl = inflight.remove(i);
             debug_assert!(
                 self.config().coalesce || fl.followers.is_empty(),
                 "followers can only attach when coalescing is enabled"
@@ -90,10 +89,8 @@ impl Service {
                 0,
                 outcome.logical_passes as u32,
             );
-            if let Some(reply) = &fl.reply {
-                // The client may have dropped its ticket; that is fine.
-                let _ = reply.send(outcome.clone());
-            }
+            // The client may have dropped its ticket; that is fine.
+            let _ = fl.reply.send(outcome.clone());
             for f in fl.followers {
                 // Determinism makes the job's observables the
                 // follower's own solo observables; only identity and
@@ -115,12 +112,8 @@ impl Service {
                     0,
                     fanned.logical_passes as u32,
                 );
-                if let Some(reply) = &f.reply {
-                    let _ = reply.send(fanned.clone());
-                }
-                sink(f.slot, fanned);
+                let _ = f.reply.send(fanned);
             }
-            sink(slot, outcome);
         }
     }
 }

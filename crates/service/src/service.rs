@@ -9,9 +9,7 @@
 //! [`FairGate`](crate::fairness::FairGate) arbitrating `(tenant,
 //! shard)` work units across lanes.
 
-use crate::admission::{
-    Admitted, Inflight, Intake, QuerySubmission, ReloadRequest, ReplyTx, Submission,
-};
+use crate::admission::{Admitted, Intake, QuerySubmission, ReloadRequest, ReplyTx, Submission};
 use crate::alignment::{self, EpochState};
 use crate::cache::{EvictionPolicy, OutcomeCache};
 use crate::execution;
@@ -23,6 +21,7 @@ use crate::tenants::{LedgerEvent, RepositoryGeneration, Tenant, TenantMeta, Tena
 use sc_setsystem::SetSystem;
 use sc_stream::{InterleavedCursor, ScanLedger, SetStream};
 use sc_telemetry::EventKind;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc};
@@ -55,8 +54,9 @@ pub struct ServiceConfig {
     /// [`ServiceBuilder::shared_cache`].
     pub eviction: EvictionPolicy,
     /// How long the scheduler holds the *first* scan of a fresh epoch
-    /// group open for mid-stream joiners (serve mode only; zero — the
-    /// default — admits mid-stream without ever holding a scan open).
+    /// group open for mid-stream joiners (only channel arrivals join,
+    /// so a batch's closed intake never waits; zero — the default —
+    /// admits mid-stream without ever holding a scan open).
     /// A burst arriving just behind the group's head then rides the
     /// same physical scan instead of paying an extra epoch of queue
     /// wait.
@@ -406,7 +406,7 @@ pub struct Service {
 /// The first tenant added is the *default* — the one
 /// [`Service::serve`]'s handle targets until
 /// [`ServiceHandle::with_tenant`] (or the protocol's `!use` /
-/// `repo=`) redirects it, and the one the batch/compat surfaces
+/// `repo=`) redirects it, and the one the default-tenant surfaces
 /// ([`Service::run_batch`], [`Service::generation`]) address.
 ///
 /// # Examples
@@ -680,12 +680,15 @@ impl Service {
         (fresh, reaped)
     }
 
-    /// Solves a batch of queries through shared scan epochs, all
-    /// admitted before the first scan (up to `max_inflight` at a time;
-    /// repeats of an already-retired spec are answered from the cache,
-    /// and — with [`ServiceConfig::coalesce`] — repeats of an
-    /// *in-flight* spec attach to its job, neither occupying a slot).
-    /// Outcomes come back in submission order.
+    /// Solves a batch of queries through shared scan epochs. The batch
+    /// is one serve lane whose intake was filled in advance and closed
+    /// ([`Intake::prefilled`]): every query is submitted at the call's
+    /// start (so latency counts from there) and admitted at an epoch
+    /// boundary, up to `max_inflight` at a time; repeats of an
+    /// already-retired spec are answered from the cache, and — with
+    /// [`ServiceConfig::coalesce`] — repeats of an *in-flight* spec
+    /// attach to its job, neither occupying a slot. Outcomes come back
+    /// in submission order.
     ///
     /// The metrics' query counts are the growth of the default tenant's
     /// ledger across the call, so they are exact only while no other
@@ -693,163 +696,37 @@ impl Service {
     /// the same time.
     pub fn run_batch(&self, specs: &[QuerySpec]) -> (Vec<QueryOutcome>, ServiceMetrics) {
         let start = Instant::now();
-        let gen = self.registry.default_tenant().store().current();
-        let counters = gen.tenant.counters();
-        let before = counters.totals();
-        let root = SetStream::new(&gen.system);
-        let ledger = ScanLedger::new();
-        let mut outcomes: Vec<Option<QueryOutcome>> = (0..specs.len()).map(|_| None).collect();
-        let mut metrics = ServiceMetrics::default();
-        let mut next = 0usize;
-        let mut state = EpochState::new();
-        // A batch is one lane on a one-lane gate: the same fan-out as
-        // serve mode, with the gate's solo fast path skipping
+        let counters = self.registry.default_tenant().meta().counters();
+        counters.add(LedgerEvent::Submitted, specs.len() as u64);
+        let (batch, replies): (VecDeque<_>, Vec<_>) = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &spec)| {
+                let (tx, rx) = mpsc::sync_channel(1);
+                sc_telemetry::event(EventKind::Submitted, i as u64, 0, 0, 0);
+                let sub = QuerySubmission {
+                    id: i as u64,
+                    spec,
+                    submitted: start,
+                    reply: ReplyTx::new(tx, None),
+                };
+                (sub, rx)
+            })
+            .unzip();
+        // One lane on a one-lane gate: the gate's solo fast path skips
         // arbitration.
         let gate = FairGate::new(1, self.quantum, self.cfg.workers as u64);
-        let fanout = InterleavedCursor::new();
-        let il = execution::ShardInterleave {
-            gate: &gate,
-            lane: 0,
-            fanout: &fanout,
-            counters,
-        };
-        counters.add(LedgerEvent::Submitted, specs.len() as u64);
-        if sc_telemetry::enabled() {
-            for slot in 0..specs.len() {
-                sc_telemetry::event(EventKind::Submitted, slot as u64, gen.id, 0, 0);
-            }
-        }
-        loop {
-            if state.inflight.is_empty() {
-                state.group_pass = 0;
-            }
-            let admitted_from = next;
-            let admission_t0 = sc_telemetry::enabled().then(Instant::now);
-            while next < specs.len() {
-                let slot = next;
-                if state.inflight.len() >= gen.tenant.quota() {
-                    // Only a fresh job needs an inflight slot: an
-                    // identical spec is still disposed of past a full
-                    // window — from the cache first (a *shared* cache
-                    // can hold a retired answer even while a twin job
-                    // is in flight, and zero scans beats waiting on
-                    // it), else as a follower of the in-flight job.
-                    // Anything else waits for a retirement. The
-                    // side-effecting cache lookup only runs when a
-                    // leader guarantees the query is disposed of
-                    // either way, so a slot blocked on the window is
-                    // never counted as a miss twice.
-                    let has_leader = self.cfg.coalesce
-                        && state.inflight.iter().any(|(_, fl)| fl.spec == specs[slot]);
-                    if !has_leader {
-                        break;
-                    }
-                    if let Some(answer) = self.cache_lookup(&gen, &specs[slot]) {
-                        let outcome =
-                            self.cached_outcome(&gen, slot as u64, specs[slot], start, answer);
-                        self.deliver_cached(&gen, &outcome, &mut metrics);
-                        outcomes[slot] = Some(outcome);
-                    } else {
-                        let attached = self.try_coalesce(
-                            &gen,
-                            &specs[slot],
-                            slot,
-                            slot as u64,
-                            start,
-                            Instant::now(),
-                            None,
-                            &mut state.inflight,
-                        );
-                        debug_assert!(attached, "the leader cannot vanish mid-admission");
-                    }
-                    next += 1;
-                    continue;
-                }
-                next += 1;
-                if let Some(answer) = self.cache_lookup(&gen, &specs[slot]) {
-                    // The whole batch is "submitted" when run_batch
-                    // starts, so a hit's latency covers the epochs it
-                    // waited for a slot, same as a job's would.
-                    let outcome =
-                        self.cached_outcome(&gen, slot as u64, specs[slot], start, answer);
-                    self.deliver_cached(&gen, &outcome, &mut metrics);
-                    outcomes[slot] = Some(outcome);
-                    continue;
-                }
-                if self.try_coalesce(
-                    &gen,
-                    &specs[slot],
-                    slot,
-                    slot as u64,
-                    start,
-                    Instant::now(),
-                    None,
-                    &mut state.inflight,
-                ) {
-                    continue;
-                }
-                self.count_job(&gen);
-                sc_telemetry::event(
-                    EventKind::Admitted,
-                    slot as u64,
-                    gen.id,
-                    ledger.scan_index() as u64,
-                    state.group_pass as u32,
-                );
-                let fl = Inflight {
-                    id: slot as u64,
-                    spec: specs[slot],
-                    job: crate::job::make_job(&specs[slot], &root),
-                    submitted: start,
-                    admitted: Instant::now(),
-                    reply: None,
-                    followers: Vec::new(),
-                };
-                state.inflight.push((slot, fl));
-            }
-            if let Some(t0) = admission_t0 {
-                if next > admitted_from {
-                    tel().stage_admission.record(t0.elapsed());
-                }
-            }
-            metrics.max_inflight_seen = metrics.max_inflight_seen.max(state.inflight.len());
-            let retire_from = state.inflight.len();
-            let retire_t0 = sc_telemetry::enabled().then(Instant::now);
-            self.retire(&gen, &mut state.inflight, &mut metrics, |slot, outcome| {
-                outcomes[slot] = Some(outcome);
-            });
-            if let Some(t0) = retire_t0 {
-                if state.inflight.len() < retire_from {
-                    tel().stage_retirement.record(t0.elapsed());
-                }
-            }
-            if state.inflight.is_empty() {
-                if next >= specs.len() {
-                    break;
-                }
-                continue;
-            }
-            self.epoch(
-                &gen,
-                &root,
-                &ledger,
-                &mut state,
-                None,
-                &mut metrics,
-                false,
-                &il,
-            );
-        }
-        metrics.count_ledger(&before, &counters.totals(), self.cache.policy());
-        metrics.physical_scans = ledger.physical_scans();
-        metrics.elapsed = start.elapsed();
-        (
-            outcomes
-                .into_iter()
-                .map(|o| o.expect("all served"))
-                .collect(),
-            metrics,
-        )
+        let metrics = self.lane_scheduler(
+            0,
+            Intake::prefilled(batch),
+            &gate,
+            &InterleavedCursor::new(),
+        );
+        let outcomes = replies
+            .into_iter()
+            .map(|rx| rx.recv().expect("every batch query is answered"))
+            .collect();
+        (outcomes, metrics)
     }
 
     /// Serves queries submitted concurrently through a
@@ -908,7 +785,9 @@ impl Service {
             let lanes: Vec<_> = inboxes
                 .into_iter()
                 .enumerate()
-                .map(|(lane, rx)| s.spawn(move || self.lane_scheduler(lane, rx, gate, fanout)))
+                .map(|(lane, rx)| {
+                    s.spawn(move || self.lane_scheduler(lane, Intake::new(rx), gate, fanout))
+                })
                 .collect();
             let r = clients(handle);
             let mut metrics = ServiceMetrics::default();
@@ -921,14 +800,14 @@ impl Service {
 
     /// One tenant's scheduler lane: an outer loop over that tenant's
     /// repository generations, each running the epoch pipeline until
-    /// the tenant's channel closes or a reload ends the generation
-    /// (in-flight queries drain on it first; the swap is acknowledged
-    /// once it took effect). Scan work goes through the shared
-    /// [`FairGate`] one `(tenant, shard)` unit at a time.
+    /// the intake closes or a reload ends the generation (in-flight
+    /// queries drain on it first; the swap is acknowledged once it
+    /// took effect). Scan work goes through the shared [`FairGate`]
+    /// one `(tenant, shard)` unit at a time.
     fn lane_scheduler(
         &self,
         lane: usize,
-        rx: Receiver<Submission>,
+        mut intake: Intake,
         gate: &FairGate,
         fanout: &InterleavedCursor,
     ) -> ServiceMetrics {
@@ -938,7 +817,6 @@ impl Service {
         let start = Instant::now();
         let mut metrics = ServiceMetrics::default();
         let mut physical = 0usize;
-        let mut intake = Intake::new(&rx);
         loop {
             let gen = tenant.store().current();
             let il = execution::ShardInterleave {
@@ -975,7 +853,7 @@ impl Service {
     fn run_generation(
         &self,
         gen: &RepositoryGeneration,
-        intake: &mut Intake<'_>,
+        intake: &mut Intake,
         metrics: &mut ServiceMetrics,
         physical: &mut usize,
         il: &execution::ShardInterleave<'_>,
@@ -1038,10 +916,7 @@ impl Service {
                         ledger.scan_index() as u64,
                         state.group_pass as u32,
                     );
-                    // The slot mirrors the submission id: serve mode
-                    // routes outcomes by reply channel, but the slot
-                    // stays meaningful either way.
-                    state.inflight.push((fl.id as usize, fl));
+                    state.inflight.push(fl);
                 }
             }
             if let Some(t0) = admission_t0 {
@@ -1051,11 +926,19 @@ impl Service {
             // Stage 4 — retirement (replies go out by channel).
             let retire_from = state.inflight.len();
             let retire_t0 = sc_telemetry::enabled().then(Instant::now);
-            self.retire(gen, &mut state.inflight, metrics, |_slot, _outcome| {});
+            self.retire(gen, &mut state.inflight, metrics);
             if let Some(t0) = retire_t0 {
                 if state.inflight.len() < retire_from {
                     tel().stage_retirement.record(t0.elapsed());
                 }
+            }
+            if state.inflight.len() < retire_from && !intake.backlog.is_empty() {
+                // Retirement freed slots that deferred queries wait
+                // for: fill them before the next scan, so a query
+                // deferred by a full window rides the very scan a
+                // slot opens for. A non-empty backlog past this point
+                // therefore means a full window.
+                continue;
             }
             if state.inflight.is_empty() {
                 let drained_for_swap = intake.reload.is_some() && intake.backlog.is_empty();
@@ -1073,7 +956,7 @@ impl Service {
                 &root,
                 &ledger,
                 &mut state,
-                Some(intake),
+                intake,
                 metrics,
                 fresh_group,
                 il,
@@ -1083,9 +966,9 @@ impl Service {
     }
 
     /// Runs one scan epoch: every inflight job joins one shared
-    /// physical pass — exposed as a zero-copy sharded feed — the
-    /// configured admission path handles queries arriving while the
-    /// scan is in flight, and the work-stealing worker pool fans the
+    /// physical pass — exposed as a zero-copy sharded feed — arrivals
+    /// drained from the channel while the scan is in flight splice into
+    /// it at its boundary, and the work-stealing worker pool fans the
     /// per-query state updates out shard by shard through the
     /// service-wide shared cursor, with one gate unit held per shard
     /// (see [`execution::ShardInterleave`]). Every job's `end_scan`
@@ -1100,21 +983,21 @@ impl Service {
         root: &SetStream<'g>,
         ledger: &ScanLedger,
         state: &mut EpochState<'g>,
-        intake: Option<&mut Intake<'_>>,
+        intake: &mut Intake,
         metrics: &mut ServiceMetrics,
         fresh_group: bool,
         il: &execution::ShardInterleave<'_>,
     ) {
         let _session = il.gate.enter(il.lane);
         state.group_pass += 1;
-        for (_, fl) in state.inflight.iter_mut() {
+        for fl in state.inflight.iter_mut() {
             fl.job.begin_scan();
         }
         let feed = {
             let participants: Vec<&SetStream<'g>> = state
                 .inflight
                 .iter()
-                .flat_map(|(_, fl)| fl.job.participants())
+                .flat_map(|fl| fl.job.participants())
                 .collect();
             ledger.scan_sharded(root, &participants, self.cfg.shard_size)
         };
@@ -1123,7 +1006,7 @@ impl Service {
             // tagged with the scan's ordinal and the group pass it
             // carries (mid-stream joiners get their own
             // `admitted`/`aligned_join` events at the splice instead).
-            for (_, fl) in state.inflight.iter() {
+            for fl in state.inflight.iter() {
                 sc_telemetry::event(
                     EventKind::EpochScan,
                     fl.id,
@@ -1140,59 +1023,43 @@ impl Service {
         let lone_fresh_head = fresh_group && state.inflight.len() < 2;
         let window = (lone_fresh_head && self.cfg.admission_window > Duration::ZERO)
             .then(|| Instant::now() + self.cfg.admission_window);
-        let parked = match intake {
-            None => {
-                // Batch mode: a pure fan-out, no mid-stream arrivals.
-                let _span = tel().stage_execution.span();
-                execution::fan_out(&feed, &mut state.inflight, self.cfg.workers, None, il);
-                Vec::new()
-            }
-            Some(intake) => {
-                // Non-blocking accept: the fan-out drains arrivals
-                // concurrently (answering cache hits on the spot); the
-                // splice lands the rest at the boundary.
-                let scan_tag = ledger.scan_index();
-                let mut pending = Vec::new();
-                {
-                    let _span = tel().stage_execution.span();
-                    let mut drain = execution::ArrivalDrain {
-                        service: self,
-                        gen,
-                        intake,
-                        pending: &mut pending,
-                        limit: self.cfg.queue_depth,
-                        metrics,
-                    };
-                    execution::fan_out(
-                        &feed,
-                        &mut state.inflight,
-                        self.cfg.workers,
-                        Some(&mut drain),
-                        il,
-                    );
-                }
-                let parked = {
-                    let _span = tel().stage_alignment.span();
-                    alignment::splice_pending(
-                        self,
-                        gen,
-                        root,
-                        ledger,
-                        &feed,
-                        scan_tag,
-                        state,
-                        intake,
-                        &mut pending,
-                        window,
-                        metrics,
-                    )
-                };
-                metrics.max_inflight_seen = metrics
-                    .max_inflight_seen
-                    .max(state.inflight.len() + parked.len());
-                parked
-            }
+        // Non-blocking accept: between its claims the lane thread
+        // drains channel arrivals, answering the cache hits among the
+        // newly drained ones on the spot (a hit needs neither a slot
+        // nor the scan). A pending miss is not re-probed every round —
+        // only retirement on this same thread can insert, so it stays
+        // a miss until the splice probes once more at the boundary
+        // (covering the shared-cache twin case).
+        let scan_tag = ledger.scan_index();
+        let mut pending = Vec::new();
+        {
+            let _span = tel().stage_execution.span();
+            let mut drain = || {
+                let fresh_from = pending.len();
+                intake.poll_into(&mut pending, self.cfg.queue_depth);
+                self.answer_drained_hits(gen, &mut pending, fresh_from, metrics);
+            };
+            execution::fan_out(&feed, &mut state.inflight, self.cfg.workers, &mut drain, il);
+        }
+        let parked = {
+            let _span = tel().stage_alignment.span();
+            alignment::splice_pending(
+                self,
+                gen,
+                root,
+                ledger,
+                &feed,
+                scan_tag,
+                state,
+                intake,
+                &mut pending,
+                window,
+                metrics,
+            )
         };
+        metrics.max_inflight_seen = metrics
+            .max_inflight_seen
+            .max(state.inflight.len() + parked.len());
         state.inflight.extend(parked);
     }
 }

@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 /// counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LedgerEvent {
-    /// A query entered the service (batch slots included).
+    /// A query entered the service (batch queries included).
     Submitted,
     /// A query was answered: a job's retirement, each of its coalesced
     /// followers, or a cache hit.
@@ -168,13 +168,6 @@ impl TenantMeta {
         })
     }
 
-    /// The meta a bare [`RepositoryStore::new`] (and the single-tenant
-    /// compat constructors) serve under: tenant slot 0, named
-    /// `default`, with the default inflight quota.
-    pub(crate) fn solo() -> Arc<Self> {
-        Self::new(0, "default", crate::ServiceConfig::default().max_inflight)
-    }
-
     /// The tenant's registry slot — also the tenant half of the
     /// outcome-cache key, which is what keeps two tenants serving
     /// byte-identical repositories (equal fingerprints by construction)
@@ -241,12 +234,6 @@ pub struct RepositoryStore {
 }
 
 impl RepositoryStore {
-    /// Wraps the first repository as generation `1` of a solo
-    /// `default` tenant (the single-tenant compat shape).
-    pub fn new(system: SetSystem) -> Self {
-        Self::for_tenant(TenantMeta::solo(), system)
-    }
-
     /// Wraps the first repository as generation `1` of the given
     /// tenant.
     pub(crate) fn for_tenant(tenant: Arc<TenantMeta>, system: SetSystem) -> Self {
@@ -399,7 +386,7 @@ mod tests {
 
     #[test]
     fn generations_are_versioned_and_fingerprinted() {
-        let store = RepositoryStore::new(system(2));
+        let store = RepositoryStore::for_tenant(TenantMeta::new(0, "default", 1), system(2));
         let g1 = store.current();
         assert_eq!(g1.id, 1);
         assert_eq!(g1.fingerprint, OutcomeCache::fingerprint(&g1.system));
@@ -416,7 +403,7 @@ mod tests {
 
     #[test]
     fn swapping_identical_content_still_advances_the_id() {
-        let store = RepositoryStore::new(system(2));
+        let store = RepositoryStore::for_tenant(TenantMeta::new(0, "default", 1), system(2));
         let before = store.current();
         store.swap(system(2));
         let after = store.current();

@@ -320,3 +320,39 @@ fn full_window_with_armed_deadline_defers_without_livelock() {
     }
     assert!(metrics.max_inflight_seen <= 1, "the slot bound held");
 }
+
+#[test]
+fn a_freed_slot_is_refilled_before_the_next_scan() {
+    // Two slots, three queries: the one-pass greedy query retires after
+    // scan 1, and the deferred third query takes its slot for scan 2 —
+    // not a scan later. A batch runs the serve lane's loop, so this
+    // pins the serve-mode refill deterministically.
+    let inst = gen::planted(256, 512, 8, 3);
+    let service = ServiceBuilder::new()
+        .tenant("default", inst.system.clone())
+        .max_inflight(2)
+        .build();
+    let specs = [
+        QuerySpec::GreedyBaseline,
+        QuerySpec::IterCover {
+            delta: 0.5,
+            seed: 1,
+        },
+        QuerySpec::IterCover {
+            delta: 0.3,
+            seed: 2,
+        },
+    ];
+    let (outcomes, metrics) = service.run_batch(&specs);
+    for (i, outcome) in outcomes.iter().enumerate() {
+        assert_matches_solo(outcome, &inst.system, &format!("query {i}"));
+    }
+    let (greedy, head, deferred) = (&outcomes[0], &outcomes[1], &outcomes[2]);
+    assert_eq!(greedy.logical_passes, 1);
+    assert!(
+        deferred.logical_passes >= head.logical_passes,
+        "the deferred query outlives the head, so its start shows in the scan count"
+    );
+    assert_eq!(metrics.physical_scans, 1 + deferred.logical_passes);
+    assert_eq!(metrics.max_inflight_seen, 2);
+}
