@@ -37,6 +37,11 @@ impl HeapWords for usize {
     }
 }
 
+/// The vector's own buffer plus whatever its elements own. When `T`
+/// owns heap memory (a `Vec<Vec<_>>`, a `Vec<BitSet>`), this walks every
+/// element, so it is O(len), not O(1) — see the note on
+/// `sc_stream::Tracked::mutate` about containers mutated once per
+/// stream item.
 impl<T: HeapWords> HeapWords for Vec<T> {
     fn heap_words(&self) -> usize {
         // Inline storage for the elements themselves…

@@ -186,162 +186,189 @@ impl IterSetCover {
     pub fn cfg(&self) -> &IterSetCoverConfig {
         &self.cfg
     }
+}
 
-    pub(crate) fn sample_size(&self, k: usize, n: usize, m: usize) -> usize {
-        sample_size_for(&self.cfg, k, n, m)
+/// What a query asks of its guesses beyond the configuration: how many
+/// elements a finished guess may leave uncovered, and the per-guess
+/// seed formula of the query kind. Full cover and the ε-partial variant
+/// run the same guess loop and the same guess machine; only this
+/// differs (plus the configuration fields the partial variant fixes,
+/// see [`crate::PartialIterSetCover`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Goal {
+    /// `n − required`: the residual a guess may stop at (0 = full cover).
+    pub(crate) allowed: usize,
+    /// Per-guess RNG seed, `seed(cfg.seed, k)`.
+    pub(crate) seed: fn(u64, usize) -> u64,
+}
+
+impl Goal {
+    /// Full cover: nothing may stay uncovered.
+    pub(crate) const FULL: Self = Self {
+        allowed: 0,
+        seed: guess_rng_seed,
+    };
+
+    /// `true` once a residual of `uncovered` elements meets the goal.
+    pub(crate) fn met(&self, uncovered: usize) -> bool {
+        uncovered <= self.allowed
+    }
+}
+
+/// Runs the branch for one guess `k`. Returns the emitted cover, or
+/// `None` when the branch could not meet the goal (wrong guess).
+fn run_guess(
+    cfg: &IterSetCoverConfig,
+    goal: Goal,
+    k: usize,
+    stream: &SetStream<'_>,
+    meter: &SpaceMeter,
+    traces: &mut Vec<IterationTrace>,
+) -> Option<Vec<SetId>> {
+    let n = stream.universe();
+    let m = stream.num_sets();
+    let mut rng = StdRng::seed_from_u64((goal.seed)(cfg.seed, k));
+
+    // Residual universe bitmap — the paper's U. O(n) bits.
+    let mut live = Tracked::new(BitSet::full(n), meter);
+    // Membership mask of emitted sets; the paper charges O(m log m)
+    // bits for remembering picks (Lemma 2.2), we charge m bits.
+    let mut in_sol = Tracked::new(BitSet::new(m), meter);
+    // Emitted ids, read back during pass 2 — so they stay charged.
+    let mut sol: Tracked<Vec<SetId>> = Tracked::new(Vec::new(), meter);
+
+    for iteration in 0..iterations_for(cfg) {
+        let uncovered_before = live.get().count();
+        if goal.met(uncovered_before) {
+            break;
+        }
+        let want = sample_size_for(cfg, k, n, m).min(uncovered_before);
+        let sample = Tracked::new(sample_from_bitset(live.get(), want, &mut rng), meter);
+        let sample_len = sample.get().len();
+        // L ← S, as a dense bitmap for O(1) membership tests.
+        let mut l_sample = Tracked::new(BitSet::from_iter(n, sample.get().iter().copied()), meter);
+        let threshold = sample_len as f64 / k as f64;
+
+        // Pass 1: size test. Heavy sets are emitted immediately;
+        // small sets store their projection onto the sample.
+        let mut projections = Tracked::new(ProjStore::default(), meter);
+        let mut heavy_picked = 0usize;
+        let mut scratch: Vec<ElemId> = Vec::new();
+        for (id, elems) in stream.pass() {
+            scratch.clear();
+            scratch.extend(
+                elems
+                    .iter()
+                    .copied()
+                    .filter(|&e| l_sample.get().contains(e)),
+            );
+            if scratch.is_empty() {
+                continue;
+            }
+            if !cfg.disable_size_test && scratch.len() as f64 >= threshold {
+                sol.mutate(meter, |s| s.push(id));
+                in_sol.mutate(meter, |s| {
+                    s.insert(id);
+                });
+                heavy_picked += 1;
+                let covered = &scratch;
+                l_sample.mutate(meter, |l| {
+                    for &e in covered {
+                        l.remove(e);
+                    }
+                });
+            } else {
+                projections.mutate(meter, |p| p.push(id, &scratch));
+            }
+        }
+        let projection_words = projections.get().heap_words();
+        let small_stored = projections.get().len();
+
+        let offline_picked;
+        let picks = offline_solve(cfg.solver, &projections, &l_sample, meter);
+        match picks {
+            Some(picks) => {
+                offline_picked = picks.len();
+                for idx in picks {
+                    let id = projections.get().set_id(idx);
+                    sol.mutate(meter, |s| s.push(id));
+                    in_sol.mutate(meter, |s| {
+                        s.insert(id);
+                    });
+                }
+            }
+            None => {
+                // Some sampled element is in no set at all: the
+                // instance is not coverable. Abort the guess.
+                let _ = sample.release(meter);
+                let _ = l_sample.release(meter);
+                let _ = projections.release(meter);
+                let _ = live.release(meter);
+                let _ = in_sol.release(meter);
+                let _ = sol.release(meter);
+                return None;
+            }
+        }
+        let _ = sample.release(meter);
+        let _ = l_sample.release(meter);
+        let _ = projections.release(meter);
+
+        // Pass 2: recompute the uncovered set from the emitted ids.
+        for (id, elems) in stream.pass() {
+            if in_sol.get().contains(id) {
+                live.mutate(meter, |l| {
+                    for &e in elems {
+                        l.remove(e);
+                    }
+                });
+            }
+        }
+
+        traces.push(IterationTrace {
+            k,
+            iteration,
+            uncovered_before,
+            sample_size: sample_len,
+            heavy_picked,
+            small_stored,
+            projection_words,
+            offline_picked,
+            uncovered_after: live.get().count(),
+        });
     }
 
-    /// Runs the branch for one guess `k`. Returns the emitted cover, or
-    /// `None` when the branch could not finish (wrong guess).
-    fn run_guess(
-        &mut self,
-        k: usize,
-        stream: &SetStream<'_>,
-        meter: &SpaceMeter,
-        rng: &mut StdRng,
-    ) -> Option<Vec<SetId>> {
-        let n = stream.universe();
-        let m = stream.num_sets();
-
-        // Residual universe bitmap — the paper's U. O(n) bits.
-        let mut live = Tracked::new(BitSet::full(n), meter);
-        // Membership mask of emitted sets; the paper charges O(m log m)
-        // bits for remembering picks (Lemma 2.2), we charge m bits.
-        let mut in_sol = Tracked::new(BitSet::new(m), meter);
-        // Emitted ids, read back during pass 2 — so they stay charged.
-        let mut sol: Tracked<Vec<SetId>> = Tracked::new(Vec::new(), meter);
-
-        for iteration in 0..self.iterations() {
-            if live.get().is_empty() {
+    // Stragglers: one extra pass, one arbitrary covering set each
+    // (the Section 4.2 trick), down to the goal. Skipped when the goal
+    // is already met.
+    if !goal.met(live.get().count()) && cfg.final_cleanup_pass {
+        let mut swept = false;
+        for (id, elems) in stream.pass() {
+            if swept {
                 break;
             }
-            let uncovered_before = live.get().count();
-            let want = self.sample_size(k, n, m).min(uncovered_before);
-            let sample = Tracked::new(sample_from_bitset(live.get(), want, rng), meter);
-            let sample_len = sample.get().len();
-            // L ← S, as a dense bitmap for O(1) membership tests.
-            let mut l_sample =
-                Tracked::new(BitSet::from_iter(n, sample.get().iter().copied()), meter);
-            let threshold = sample_len as f64 / k as f64;
-
-            // Pass 1: size test. Heavy sets are emitted immediately;
-            // small sets store their projection onto the sample.
-            let mut projections = Tracked::new(ProjStore::default(), meter);
-            let mut heavy_picked = 0usize;
-            let mut scratch: Vec<ElemId> = Vec::new();
-            for (id, elems) in stream.pass() {
-                scratch.clear();
-                scratch.extend(
-                    elems
-                        .iter()
-                        .copied()
-                        .filter(|&e| l_sample.get().contains(e)),
-                );
-                if scratch.is_empty() {
-                    continue;
-                }
-                if !self.cfg.disable_size_test && scratch.len() as f64 >= threshold {
-                    sol.mutate(meter, |s| s.push(id));
-                    in_sol.mutate(meter, |s| {
-                        s.insert(id);
-                    });
-                    heavy_picked += 1;
-                    let covered = &scratch;
-                    l_sample.mutate(meter, |l| {
-                        for &e in covered {
-                            l.remove(e);
-                        }
-                    });
-                } else {
-                    projections.mutate(meter, |p| p.push(id, &scratch));
-                }
+            if in_sol.get().contains(id) {
+                continue;
             }
-            let projection_words = projections.get().heap_words();
-            let small_stored = projections.get().len();
-
-            let offline_picked;
-            let picks = offline_solve(self.cfg.solver, &projections, &l_sample, meter);
-            match picks {
-                Some(picks) => {
-                    offline_picked = picks.len();
-                    for idx in picks {
-                        let id = projections.get().set_id(idx);
-                        sol.mutate(meter, |s| s.push(id));
-                        in_sol.mutate(meter, |s| {
-                            s.insert(id);
-                        });
+            if elems.iter().any(|&e| live.get().contains(e)) {
+                sol.mutate(meter, |s| s.push(id));
+                in_sol.mutate(meter, |s| {
+                    s.insert(id);
+                });
+                live.mutate(meter, |l| {
+                    for &e in elems {
+                        l.remove(e);
                     }
-                }
-                None => {
-                    // Some sampled element is in no set at all: the
-                    // instance is not coverable. Abort the guess.
-                    let _ = sample.release(meter);
-                    let _ = l_sample.release(meter);
-                    let _ = projections.release(meter);
-                    let _ = live.release(meter);
-                    let _ = in_sol.release(meter);
-                    let _ = sol.release(meter);
-                    return None;
-                }
-            }
-            let _ = sample.release(meter);
-            let _ = l_sample.release(meter);
-            let _ = projections.release(meter);
-
-            // Pass 2: recompute the uncovered set from the emitted ids.
-            for (id, elems) in stream.pass() {
-                if in_sol.get().contains(id) {
-                    live.mutate(meter, |l| {
-                        for &e in elems {
-                            l.remove(e);
-                        }
-                    });
-                }
-            }
-
-            self.traces.push(IterationTrace {
-                k,
-                iteration,
-                uncovered_before,
-                sample_size: sample_len,
-                heavy_picked,
-                small_stored,
-                projection_words,
-                offline_picked,
-                uncovered_after: live.get().count(),
-            });
-        }
-
-        // Stragglers: one extra pass, one arbitrary covering set each
-        // (the Section 4.2 trick). Skipped when everything is covered.
-        if !live.get().is_empty() && self.cfg.final_cleanup_pass {
-            for (id, elems) in stream.pass() {
-                if live.get().is_empty() {
-                    break;
-                }
-                if in_sol.get().contains(id) {
-                    continue;
-                }
-                if elems.iter().any(|&e| live.get().contains(e)) {
-                    sol.mutate(meter, |s| s.push(id));
-                    in_sol.mutate(meter, |s| {
-                        s.insert(id);
-                    });
-                    live.mutate(meter, |l| {
-                        for &e in elems {
-                            l.remove(e);
-                        }
-                    });
-                }
+                });
+                swept = goal.met(live.get().count());
             }
         }
-
-        let done = live.get().is_empty();
-        let _ = live.release(meter);
-        let _ = in_sol.release(meter);
-        let sol = sol.release(meter);
-        done.then_some(sol)
     }
+
+    let done = goal.met(live.get().count());
+    let _ = live.release(meter);
+    let _ = in_sol.release(meter);
+    let sol = sol.release(meter);
+    done.then_some(sol)
 }
 
 /// `algOfflineSC` on the residual sample — shared by both executors.
@@ -432,52 +459,58 @@ impl StreamingSetCover for IterSetCover {
 
     fn run(&mut self, stream: &SetStream<'_>, meter: &SpaceMeter) -> Vec<SetId> {
         self.traces.clear();
-        let n = stream.universe();
-        if n == 0 {
-            return Vec::new();
-        }
         match self.cfg.executor {
             GuessExecutor::Multiplexed => crate::multiplex::run_multiplexed(self, stream, meter),
-            GuessExecutor::Sequential => self.run_sequential(stream, meter),
+            GuessExecutor::Sequential => {
+                run_sequential(&self.cfg, Goal::FULL, stream, meter, &mut self.traces)
+            }
         }
     }
 }
 
-impl IterSetCover {
-    /// The reference executor: one guess after another, each doing its
-    /// own physical scans.
-    fn run_sequential(&mut self, stream: &SetStream<'_>, meter: &SpaceMeter) -> Vec<SetId> {
-        let n = stream.universe();
-        // All guesses k = 2^i, 0 ≤ i ≤ log n, "in parallel" (Fig 1.3).
-        let mut best: Option<Vec<SetId>> = None;
-        let mut child_passes = Vec::new();
-        let mut child_peaks = Vec::new();
-        let mut i = 0u32;
-        loop {
-            let k = 1usize << i;
-            let child_stream = stream.fork();
-            let child_meter = meter.fork();
-            let mut rng = StdRng::seed_from_u64(guess_rng_seed(self.cfg.seed, k));
-            if let Some(sol) = self.run_guess(k, &child_stream, &child_meter, &mut rng) {
-                if best.as_ref().is_none_or(|b| sol.len() < b.len()) {
-                    best = Some(sol);
-                }
-            }
-            child_passes.push(child_stream.passes());
-            child_peaks.push(child_meter.peak());
-            if k >= n {
-                break;
-            }
-            i += 1;
-        }
-        stream.absorb_parallel(child_passes);
-        meter.absorb_parallel(child_peaks);
-        best.unwrap_or_default()
+/// The reference executor: one guess `k = 2^i` after another, each
+/// doing its own physical scans, merged exactly as the multiplexed
+/// driver merges (first minimal cover wins, passes max, space sum). A
+/// query whose goal the empty cover already meets runs no guess.
+pub(crate) fn run_sequential(
+    cfg: &IterSetCoverConfig,
+    goal: Goal,
+    stream: &SetStream<'_>,
+    meter: &SpaceMeter,
+    traces: &mut Vec<IterationTrace>,
+) -> Vec<SetId> {
+    let n = stream.universe();
+    if goal.met(n) {
+        return Vec::new();
     }
+    // All guesses k = 2^i, 0 ≤ i ≤ log n, "in parallel" (Fig 1.3).
+    let mut best: Option<Vec<SetId>> = None;
+    let mut child_passes = Vec::new();
+    let mut child_peaks = Vec::new();
+    let mut i = 0u32;
+    loop {
+        let k = 1usize << i;
+        let child_stream = stream.fork();
+        let child_meter = meter.fork();
+        if let Some(sol) = run_guess(cfg, goal, k, &child_stream, &child_meter, traces) {
+            if best.as_ref().is_none_or(|b| sol.len() < b.len()) {
+                best = Some(sol);
+            }
+        }
+        child_passes.push(child_stream.passes());
+        child_peaks.push(child_meter.peak());
+        if k >= n {
+            break;
+        }
+        i += 1;
+    }
+    stream.absorb_parallel(child_passes);
+    meter.absorb_parallel(child_peaks);
+    best.unwrap_or_default()
 }
 
-/// Per-guess RNG seed — one fixed formula so both executors draw
-/// identical sample streams for the same guess.
+/// Per-guess RNG seed of full-cover queries — one fixed formula so both
+/// executors draw identical sample streams for the same guess.
 pub(crate) fn guess_rng_seed(seed: u64, k: usize) -> u64 {
     seed.wrapping_add(0x9e37_79b9 * k as u64)
 }

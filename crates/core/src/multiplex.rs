@@ -11,10 +11,17 @@
 //! machine ([`GuessRun`]) whose phases mirror the algorithm:
 //!
 //! ```text
-//! ┌─> Pass1 ──(offline solve)──> Pass2 ─┐     (× ⌈1/δ⌉ iterations)
-//! └─────────────<──────────────────────-┘
+//! ┌─> Pass1 ──(offline solve)──> Pass2 ─┐     (× ⌈1/δ⌉ iterations, or
+//! └─────────────<──────────────────────-┘      until the goal is met)
 //!        └──> Cleanup ──> Finished(Done | Failed)
 //! ```
+//!
+//! The same machine runs both query kinds. A full-cover guess stops
+//! when nothing is uncovered; an ε-partial guess
+//! ([`IterCoverDriver::partial`]) carries a residual goal `n − required`,
+//! stops iterating once at most that many elements are uncovered, and
+//! its straggler pass (the goal sweep) emits nothing once the goal is
+//! met.
 //!
 //! The driver ([`IterCoverDriver`]) repeatedly asks which guesses still
 //! want a scan, performs **one** shared physical pass via
@@ -46,7 +53,8 @@
 //! [`SetStream`]: sc_stream::SetStream
 //! [`SpaceMeter`]: sc_stream::SpaceMeter
 
-use crate::iter_set_cover::{guess_rng_seed, iterations_for, offline_solve, sample_size_for};
+use crate::iter_set_cover::{iterations_for, offline_solve, sample_size_for, Goal};
+use crate::partial::partial_setup;
 use crate::projstore::ProjStore;
 use crate::sampling::sample_from_bitset_into;
 use crate::scan_driver::{GuessMachine, MachineOutcome, ScanDriver};
@@ -74,6 +82,7 @@ enum Phase {
 struct GuessRun<'a> {
     k: usize,
     cfg: IterSetCoverConfig,
+    goal: Goal,
     universe: usize,
     max_iterations: usize,
     /// `sample_size(k, n, m)` — constant across iterations.
@@ -92,6 +101,9 @@ struct GuessRun<'a> {
     live: Option<Tracked<BitSet>>,
     in_sol: Option<Tracked<BitSet>>,
     sol: Option<Tracked<Vec<SetId>>>,
+    /// Set once the straggler pass met the goal: the rest of the scan
+    /// emits nothing (the sequential executor breaks out of the scan).
+    swept: bool,
 
     // Pass-1 state (alive from `begin_iteration` to `finish_pass1`).
     sample: Option<Tracked<Vec<ElemId>>>,
@@ -118,12 +130,18 @@ struct GuessRun<'a> {
 }
 
 impl<'a> GuessRun<'a> {
-    fn new(cfg: &IterSetCoverConfig, k: usize, stream: &SetStream<'a>, meter: &SpaceMeter) -> Self {
+    fn new(
+        cfg: &IterSetCoverConfig,
+        goal: Goal,
+        k: usize,
+        stream: &SetStream<'a>,
+        meter: &SpaceMeter,
+    ) -> Self {
         let n = stream.universe();
         let m = stream.num_sets();
         let child_stream = stream.fork();
         let child_meter = meter.fork();
-        let rng = StdRng::seed_from_u64(guess_rng_seed(cfg.seed, k));
+        let rng = StdRng::seed_from_u64((goal.seed)(cfg.seed, k));
         // Same charges, same order as the sequential executor: the
         // residual bitmap U, the membership mask of emitted sets, and
         // the emitted ids (read back during pass 2, so they stay
@@ -134,6 +152,7 @@ impl<'a> GuessRun<'a> {
         let mut run = Self {
             k,
             cfg: *cfg,
+            goal,
             universe: n,
             max_iterations: iterations_for(cfg),
             sample_want: sample_size_for(cfg, k, n, m),
@@ -147,6 +166,7 @@ impl<'a> GuessRun<'a> {
             live: Some(live),
             in_sol: Some(in_sol),
             sol: Some(sol),
+            swept: false,
             sample: None,
             l_sample: None,
             projections: None,
@@ -194,11 +214,12 @@ impl<'a> GuessRun<'a> {
     /// the leftover bitmap `L ← S`, and readies the projection store.
     fn begin_iteration(&mut self) {
         let live = self.live.as_ref().expect("live until finish");
-        if self.iteration >= self.max_iterations || live.get().is_empty() {
+        let uncovered = live.get().count();
+        if self.iteration >= self.max_iterations || self.goal.met(uncovered) {
             self.maybe_cleanup();
             return;
         }
-        self.uncovered_before = live.get().count();
+        self.uncovered_before = uncovered;
         let want = self.sample_want.min(self.uncovered_before);
         let mut buf = std::mem::take(&mut self.spare_sample);
         sample_from_bitset_into(live.get(), want, &mut self.rng, &mut buf);
@@ -371,8 +392,9 @@ impl<'a> GuessRun<'a> {
     }
 
     /// Cleanup, one set already known to cover at least one straggler
-    /// (the caller's mask lookup found `elems ∩ live` non-empty): emit
-    /// it and remove its elements. Returns `true` — the residual
+    /// (the caller's mask lookup found `elems ∩ live` non-empty) while
+    /// the goal is unmet: emit it, remove its elements, and note
+    /// whether the goal is met now. Returns `true` — the residual
     /// shrank — so the caller clears this guess's mask lane.
     fn cleanup_hit(&mut self, id: SetId, elems: &[ElemId]) -> bool {
         if self
@@ -387,22 +409,16 @@ impl<'a> GuessRun<'a> {
             return false;
         }
         self.emit(id);
-        self.live
-            .as_mut()
-            .expect("live until finish")
-            .mutate(&self.meter, |l| l.remove_sorted_slice(elems));
+        let live = self.live.as_mut().expect("live until finish");
+        live.mutate(&self.meter, |l| l.remove_sorted_slice(elems));
+        self.swept = self.goal.met(live.get().count());
         true
     }
 
     /// Decides between the Section 4.2 straggler pass and finishing.
     fn maybe_cleanup(&mut self) {
-        let live_empty = self
-            .live
-            .as_ref()
-            .expect("live until finish")
-            .get()
-            .is_empty();
-        if !live_empty && self.cfg.final_cleanup_pass {
+        let live = self.live.as_ref().expect("live until finish");
+        if !self.goal.met(live.get().count()) && self.cfg.final_cleanup_pass {
             self.phase = Phase::Cleanup;
         } else {
             self.finish();
@@ -412,10 +428,10 @@ impl<'a> GuessRun<'a> {
     /// Cleanup pass, one set, solo path: test for a straggler hit with
     /// the count kernel, then defer to [`cleanup_hit`](Self::cleanup_hit).
     fn cleanup_item(&mut self, id: SetId, elems: &[ElemId]) {
-        let live = self.live.as_ref().expect("live until finish");
-        if live.get().is_empty() {
+        if self.swept {
             return; // mirrors the sequential executor's early break
         }
+        let live = self.live.as_ref().expect("live until finish");
         if live.get().intersection_count_slice(elems) > 0 {
             self.cleanup_hit(id, elems);
         }
@@ -424,7 +440,7 @@ impl<'a> GuessRun<'a> {
     /// Releases everything and records the outcome.
     fn finish(&mut self) {
         let live = self.live.take().expect("live until finish");
-        let done = live.get().is_empty();
+        let done = self.goal.met(live.get().count());
         let _ = live.release(&self.meter);
         let _ = self
             .in_sol
@@ -452,7 +468,9 @@ impl<'a> GuessRun<'a> {
 /// seeded RNG) and performs exactly the operations of the sequential
 /// executor in exactly the same order, so covers, logical pass counts,
 /// space peaks, and iteration traces are bit-identical to a solo run —
-/// the `multiplex_equivalence` test pins this.
+/// the `multiplex_equivalence` test pins this for full cover, and
+/// `partial_machine_equivalence` for the ε-partial form built by
+/// [`partial`](Self::partial).
 ///
 /// # Scan protocol
 ///
@@ -625,7 +643,9 @@ impl<'a> GuessMachine<'a> for GuessRun<'a> {
                             false
                         }
                     }
-                    Phase::Cleanup => machines[g].cleanup_hit(id, elems),
+                    // Past the goal the lane still hits, but emits
+                    // nothing more.
+                    Phase::Cleanup => !machines[g].swept && machines[g].cleanup_hit(id, elems),
                     _ => unreachable!("only pass-1 and cleanup guesses become lanes"),
                 };
                 if shrank {
@@ -649,17 +669,47 @@ impl<'a> IterCoverDriver<'a> {
     /// and meters from `stream` / `meter` (the query's parent handles,
     /// absorbed back by [`finish_into`](Self::finish_into)).
     pub fn new(cfg: &IterSetCoverConfig, stream: &SetStream<'a>, meter: &SpaceMeter) -> Self {
+        Self::with_goal(cfg, Goal::FULL, stream, meter)
+    }
+
+    /// Spawns the guess machines of an ε-partial query that must cover
+    /// at least `required` elements — the same machines, stopped at the
+    /// residual goal `n − required`, seeded with the partial formula,
+    /// and with the configuration fields the partial variant fixes
+    /// forced (see [`crate::PartialIterSetCover`]). Bit-identical to
+    /// the sequential [`crate::PartialIterSetCover`].
+    pub fn partial(
+        cfg: &IterSetCoverConfig,
+        required: usize,
+        stream: &SetStream<'a>,
+        meter: &SpaceMeter,
+    ) -> Self {
+        let (cfg, goal) = partial_setup(cfg, stream.universe(), required);
+        Self::with_goal(&cfg, goal, stream, meter)
+    }
+
+    /// All guesses k = 2^i, 0 ≤ i ≤ log n, "in parallel" (Fig 1.3). A
+    /// query whose goal the empty cover already meets (empty universe,
+    /// nothing required) spawns none and finishes with an empty cover,
+    /// exactly as the sequential executor returns early.
+    fn with_goal(
+        cfg: &IterSetCoverConfig,
+        goal: Goal,
+        stream: &SetStream<'a>,
+        meter: &SpaceMeter,
+    ) -> Self {
         let n = stream.universe();
-        // All guesses k = 2^i, 0 ≤ i ≤ log n, "in parallel" (Fig 1.3).
         let mut guesses = Vec::new();
-        let mut i = 0u32;
-        loop {
-            let k = 1usize << i;
-            guesses.push(GuessRun::new(cfg, k, stream, meter));
-            if k >= n {
-                break;
+        if !goal.met(n) {
+            let mut i = 0u32;
+            loop {
+                let k = 1usize << i;
+                guesses.push(GuessRun::new(cfg, goal, k, stream, meter));
+                if k >= n {
+                    break;
+                }
+                i += 1;
             }
-            i += 1;
         }
         Self {
             inner: ScanDriver::new(guesses),

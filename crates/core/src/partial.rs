@@ -5,10 +5,14 @@
 //! fraction of `U`, compared against the optimal *full* cover — and
 //! `iterSetCover` supports it natively: its iterations shrink the
 //! residual geometrically, so stopping once the residual reaches `ε·n`
-//! simply truncates the loop after `⌈log(1/ε)/(δ·log n)⌉` iterations.
-//! Fewer passes, the same per-iteration space, and no cleanup pass:
-//! partial coverage is *cheaper* in exactly the way the analysis
-//! predicts, which experiment E11 measures.
+//! simply truncates the loop after `⌈log(1/ε)/(δ·log n)⌉` iterations,
+//! and the straggler pass becomes a goal sweep that stops at the goal.
+//! Fewer passes and the same per-iteration space: partial coverage is
+//! *cheaper* in exactly the way the analysis predicts, which experiment
+//! E11 measures. The ε-partial query is not a second algorithm in code
+//! either: [`PartialIterSetCover`] runs `IterSetCover`'s sequential
+//! guess loop with a residual goal, and [`crate::PartialCoverDriver`]
+//! runs the full-cover guess machine of [`crate::multiplex`] with it.
 //!
 //! Four algorithms implement [`PartialStreamingSetCover`]:
 //! [`PartialIterSetCover`] (the paper's algorithm, truncated),
@@ -16,11 +20,11 @@
 //! semi-streaming results the paper says extend to partial cover), and
 //! [`PartialProgressiveGreedy`] (the threshold-halving baseline).
 
-use crate::sampling::sample_from_bitset;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::iter_set_cover::{run_sequential, Goal};
+use crate::IterSetCoverConfig;
 use sc_bitset::BitSet;
-use sc_setsystem::{ElemId, SetId, SetSystem};
+use sc_offline::OfflineSolver;
+use sc_setsystem::{SetId, SetSystem};
 use sc_stream::{SetStream, SpaceMeter, Tracked};
 
 /// Outcome of a partial-cover run.
@@ -73,9 +77,9 @@ pub fn coverage_goal(n: usize, epsilon: f64) -> usize {
 }
 
 /// Per-guess RNG seed of the ε-partial `iterSetCover` — one fixed
-/// formula so the sequential path and the state-machine driver
+/// formula so the sequential reference and the guess machine
 /// ([`crate::PartialCoverDriver`]) draw identical sample streams.
-pub(crate) fn partial_guess_seed(seed: u64, k: usize) -> u64 {
+fn partial_guess_seed(seed: u64, k: usize) -> u64 {
     seed.wrapping_add(0x5bd1_e995 * k as u64)
 }
 
@@ -108,152 +112,51 @@ pub fn run_partial(
 }
 
 /// ε-partial `iterSetCover`: the Figure 1.3 loop, stopped as soon as
-/// the residual drops to `n - required`.
+/// the residual drops to `n - required` — the sequential reference of
+/// the ε-partial query. It runs `IterSetCover`'s sequential guess loop
+/// with a residual goal; [`crate::PartialCoverDriver`] runs the same
+/// guesses on the multiplexed guess machine, bit-identically.
+///
+/// Of [`IterSetCoverConfig`], the fields that apply are `delta`,
+/// `seed`, `sample_constant` and `paper_constants`. The partial variant
+/// fixes the rest: the greedy oracle (`solver`), the size test on
+/// (`disable_size_test = false`), and the goal sweep always
+/// (`final_cleanup_pass = true`). `executor` does not apply either:
+/// this type is always the sequential reference.
 #[derive(Debug)]
 pub struct PartialIterSetCover {
-    /// Underlying configuration (δ, oracle, seed, constants).
-    pub cfg: crate::IterSetCoverConfig,
+    /// Underlying configuration (δ, seed, sample constant and regime;
+    /// the other fields are fixed, see the type docs).
+    pub cfg: IterSetCoverConfig,
 }
 
 impl PartialIterSetCover {
     /// Wraps a configuration.
-    pub fn new(cfg: crate::IterSetCoverConfig) -> Self {
+    pub fn new(cfg: IterSetCoverConfig) -> Self {
         Self { cfg }
     }
+}
 
-    fn sample_size(&self, k: usize, n: usize, m: usize) -> usize {
-        crate::iter_set_cover::sample_size_for(&self.cfg, k, n, m)
-    }
-
-    fn run_guess(
-        &self,
-        k: usize,
-        stream: &SetStream<'_>,
-        meter: &SpaceMeter,
-        rng: &mut StdRng,
-        required: usize,
-    ) -> Option<Vec<SetId>> {
-        let n = stream.universe();
-        let m = stream.num_sets();
-        let allowed_residual = n.saturating_sub(required);
-        let mut live = Tracked::new(BitSet::full(n), meter);
-        let mut in_sol = Tracked::new(BitSet::new(m), meter);
-        let mut sol: Tracked<Vec<SetId>> = Tracked::new(Vec::new(), meter);
-        let iters = (1.0 / self.cfg.delta).ceil() as usize;
-
-        for _ in 0..iters {
-            if live.get().count() <= allowed_residual {
-                break;
-            }
-            let uncovered = live.get().count();
-            let want = self.sample_size(k, n, m).min(uncovered);
-            let sample = Tracked::new(sample_from_bitset(live.get(), want, rng), meter);
-            let sample_len = sample.get().len();
-            let mut l_sample =
-                Tracked::new(BitSet::from_iter(n, sample.get().iter().copied()), meter);
-            let threshold = sample_len as f64 / k as f64;
-
-            let mut proj_sets: Tracked<Vec<SetId>> = Tracked::new(Vec::new(), meter);
-            let mut proj_elems: Tracked<Vec<Vec<ElemId>>> = Tracked::new(Vec::new(), meter);
-            let mut scratch: Vec<ElemId> = Vec::new();
-            for (id, elems) in stream.pass() {
-                scratch.clear();
-                scratch.extend(
-                    elems
-                        .iter()
-                        .copied()
-                        .filter(|&e| l_sample.get().contains(e)),
-                );
-                if scratch.is_empty() {
-                    continue;
-                }
-                if scratch.len() as f64 >= threshold {
-                    sol.mutate(meter, |s| s.push(id));
-                    in_sol.mutate(meter, |s| {
-                        s.insert(id);
-                    });
-                    let covered = &scratch;
-                    l_sample.mutate(meter, |l| {
-                        for &e in covered {
-                            l.remove(e);
-                        }
-                    });
-                } else {
-                    proj_sets.mutate(meter, |p| p.push(id));
-                    proj_elems.mutate(meter, |p| p.push(scratch.clone()));
-                }
-            }
-
-            if !l_sample.get().is_empty() {
-                let scratch_words = l_sample.get().as_words().len() + proj_sets.get().len();
-                meter.charge(scratch_words);
-                let elems = proj_elems.get();
-                let picks =
-                    sc_offline::greedy_slices(elems.len(), |i| elems[i].as_slice(), l_sample.get());
-                meter.release(scratch_words);
-                let Some(picks) = picks else {
-                    let _ = sample.release(meter);
-                    let _ = l_sample.release(meter);
-                    let _ = proj_sets.release(meter);
-                    let _ = proj_elems.release(meter);
-                    let _ = live.release(meter);
-                    let _ = in_sol.release(meter);
-                    let _ = sol.release(meter);
-                    return None;
-                };
-                for idx in picks {
-                    let id = proj_sets.get()[idx];
-                    sol.mutate(meter, |s| s.push(id));
-                    in_sol.mutate(meter, |s| {
-                        s.insert(id);
-                    });
-                }
-            }
-            let _ = sample.release(meter);
-            let _ = l_sample.release(meter);
-            let _ = proj_sets.release(meter);
-            let _ = proj_elems.release(meter);
-
-            for (id, elems) in stream.pass() {
-                if in_sol.get().contains(id) {
-                    live.mutate(meter, |l| {
-                        for &e in elems {
-                            l.remove(e);
-                        }
-                    });
-                }
-            }
-        }
-
-        // Goal sweep: like the cleanup pass, but only down to the goal.
-        if live.get().count() > allowed_residual {
-            for (id, elems) in stream.pass() {
-                if live.get().count() <= allowed_residual {
-                    break;
-                }
-                if in_sol.get().contains(id) {
-                    continue;
-                }
-                if elems.iter().any(|&e| live.get().contains(e)) {
-                    sol.mutate(meter, |s| s.push(id));
-                    in_sol.mutate(meter, |s| {
-                        s.insert(id);
-                    });
-                    live.mutate(meter, |l| {
-                        for &e in elems {
-                            l.remove(e);
-                        }
-                    });
-                }
-            }
-        }
-
-        let done = live.get().count() <= allowed_residual;
-        let _ = live.release(meter);
-        let _ = in_sol.release(meter);
-        let sol = sol.release(meter);
-        done.then_some(sol)
-    }
+/// The guess settings of an ε-partial query that must cover `required`
+/// of `n` elements: `cfg` with the fields the partial variant fixes
+/// forced (greedy oracle, size test on, goal sweep always), and the
+/// residual goal `n − required` with the partial seed formula.
+pub(crate) fn partial_setup(
+    cfg: &IterSetCoverConfig,
+    n: usize,
+    required: usize,
+) -> (IterSetCoverConfig, Goal) {
+    let cfg = IterSetCoverConfig {
+        solver: OfflineSolver::Greedy,
+        disable_size_test: false,
+        final_cleanup_pass: true,
+        ..*cfg
+    };
+    let goal = Goal {
+        allowed: n.saturating_sub(required),
+        seed: partial_guess_seed,
+    };
+    (cfg, goal)
 }
 
 impl PartialStreamingSetCover for PartialIterSetCover {
@@ -261,39 +164,13 @@ impl PartialStreamingSetCover for PartialIterSetCover {
         format!(
             "partial-iterSetCover(δ={}, ρ={})",
             self.cfg.delta,
-            self.cfg.solver.label()
+            OfflineSolver::Greedy.label()
         )
     }
 
     fn run(&mut self, stream: &SetStream<'_>, meter: &SpaceMeter, required: usize) -> Vec<SetId> {
-        let n = stream.universe();
-        if n == 0 || required == 0 {
-            return Vec::new();
-        }
-        let mut best: Option<Vec<SetId>> = None;
-        let mut child_passes = Vec::new();
-        let mut child_peaks = Vec::new();
-        let mut i = 0u32;
-        loop {
-            let k = 1usize << i;
-            let cs = stream.fork();
-            let cm = meter.fork();
-            let mut rng = StdRng::seed_from_u64(partial_guess_seed(self.cfg.seed, k));
-            if let Some(sol) = self.run_guess(k, &cs, &cm, &mut rng, required) {
-                if best.as_ref().is_none_or(|b| sol.len() < b.len()) {
-                    best = Some(sol);
-                }
-            }
-            child_passes.push(cs.passes());
-            child_peaks.push(cm.peak());
-            if k >= n {
-                break;
-            }
-            i += 1;
-        }
-        stream.absorb_parallel(child_passes);
-        meter.absorb_parallel(child_peaks);
-        best.unwrap_or_default()
+        let (cfg, goal) = partial_setup(&self.cfg, stream.universe(), required);
+        run_sequential(&cfg, goal, stream, meter, &mut Vec::new())
     }
 }
 
@@ -501,7 +378,6 @@ impl PartialStreamingSetCover for PartialChakrabartiWirth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IterSetCoverConfig;
     use sc_setsystem::gen;
 
     #[test]

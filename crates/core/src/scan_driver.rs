@@ -1,8 +1,8 @@
 //! The generic scan-protocol driver shared by every multi-guess pass
 //! machine.
 //!
-//! [`crate::multiplex::IterCoverDriver`] and
-//! [`crate::partial_machine::PartialCoverDriver`] advance a family of
+//! [`crate::multiplex::IterCoverDriver`] (and its ε-partial form,
+//! [`crate::partial_machine::PartialCoverDriver`]) advances a family of
 //! per-guess state machines through **shared physical scans**: collect
 //! the guesses that still want a pass, hand their forked streams to
 //! [`SetStream::shared_pass`] so each logs its logical pass, feed every
@@ -19,8 +19,9 @@
 //! two optional *group hooks* ([`GuessMachine::begin_scan_group`],
 //! [`GuessMachine::absorb_group`]) for families that share per-item
 //! work across guesses — the multiplexed `iterSetCover` uses them for
-//! its transposed-residual-mask traversal sharing, while the ε-partial
-//! machine keeps the defaults (each guess absorbs every item itself).
+//! its transposed-residual-mask traversal sharing, for full-cover and
+//! ε-partial queries alike; the defaults (each guess absorbs every item
+//! itself) serve families without shared per-item work.
 //!
 //! # Scan protocol
 //!

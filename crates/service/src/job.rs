@@ -13,7 +13,7 @@
 use crate::query::QuerySpec;
 use sc_core::baselines::greedy_over_stored;
 use sc_core::partial::coverage_goal;
-use sc_core::{IterCoverDriver, IterSetCoverConfig, PartialCoverDriver};
+use sc_core::{IterCoverDriver, IterSetCoverConfig};
 use sc_setsystem::{ElemId, SetId};
 use sc_stream::{SetStream, SpaceMeter, Tracked};
 
@@ -79,129 +79,50 @@ pub(crate) trait CoverJob<'a>: Send {
 /// Builds the machine for one query spec, forking the query's pass
 /// meter off `root`.
 pub(crate) fn make_job<'a>(spec: &QuerySpec, root: &SetStream<'a>) -> Box<dyn CoverJob<'a> + 'a> {
-    match *spec {
-        QuerySpec::IterCover { delta, seed } => Box::new(IterJob::new(
-            IterSetCoverConfig {
-                delta,
-                seed,
-                ..Default::default()
-            },
-            root,
-        )),
+    let (delta, seed, epsilon) = match *spec {
+        QuerySpec::IterCover { delta, seed } => (delta, seed, None),
         QuerySpec::PartialCover {
             epsilon,
             delta,
             seed,
-        } => Box::new(PartialJob::new(
-            IterSetCoverConfig {
-                delta,
-                seed,
-                ..Default::default()
-            },
-            epsilon,
-            root,
-        )),
-        QuerySpec::GreedyBaseline => Box::new(GreedyJob::new(root)),
-    }
+        } => (delta, seed, Some(epsilon)),
+        QuerySpec::GreedyBaseline => return Box::new(GreedyJob::new(root)),
+    };
+    let cfg = IterSetCoverConfig {
+        delta,
+        seed,
+        ..Default::default()
+    };
+    let parent = root.fork();
+    let meter = SpaceMeter::new();
+    let n = parent.universe();
+    let (driver, required) = match epsilon {
+        None => (IterCoverDriver::new(&cfg, &parent, &meter), n),
+        Some(epsilon) => {
+            let required = coverage_goal(n, epsilon);
+            let driver = IterCoverDriver::partial(&cfg, required, &parent, &meter);
+            (driver, required)
+        }
+    };
+    Box::new(IterJob {
+        parent,
+        meter,
+        driver,
+        required,
+    })
 }
 
-/// Full-cover `iterSetCover` query: a thin ownership wrapper around
-/// [`IterCoverDriver`] holding the query's parent stream and meter.
+/// An `iterSetCover` query, full-cover or ε-partial: a thin ownership
+/// wrapper around [`IterCoverDriver`] holding the query's parent stream
+/// and meter and the coverage goal it must meet.
 struct IterJob<'a> {
     parent: SetStream<'a>,
     meter: SpaceMeter,
-    /// `None` on the empty universe, where the solo path returns an
-    /// empty cover without forking any guess.
-    driver: Option<IterCoverDriver<'a>>,
-}
-
-impl<'a> IterJob<'a> {
-    fn new(cfg: IterSetCoverConfig, root: &SetStream<'a>) -> Self {
-        let parent = root.fork();
-        let meter = SpaceMeter::new();
-        let driver = (parent.universe() > 0).then(|| IterCoverDriver::new(&cfg, &parent, &meter));
-        Self {
-            parent,
-            meter,
-            driver,
-        }
-    }
-}
-
-impl<'a> CoverJob<'a> for IterJob<'a> {
-    fn wants_scan(&self) -> bool {
-        self.driver
-            .as_ref()
-            .is_some_and(IterCoverDriver::wants_scan)
-    }
-
-    fn next_pass(&self) -> usize {
-        self.driver.as_ref().map_or(1, IterCoverDriver::pass_index)
-    }
-
-    fn begin_scan(&mut self) {
-        self.driver.as_mut().expect("active job").begin_scan();
-    }
-
-    fn participants(&self) -> Vec<&SetStream<'a>> {
-        self.driver.as_ref().expect("active job").participants()
-    }
-
-    fn absorb(&mut self, id: SetId, elems: &[ElemId]) {
-        self.driver.as_mut().expect("active job").absorb(id, elems);
-    }
-
-    fn absorb_shard(&mut self, items: &mut dyn Iterator<Item = (SetId, &'a [ElemId])>) {
-        self.driver
-            .as_mut()
-            .expect("active job")
-            .absorb_items(items);
-    }
-
-    fn end_scan(&mut self) {
-        self.driver.as_mut().expect("active job").end_scan();
-    }
-
-    fn finish(self: Box<Self>) -> JobResult {
-        let epochs_joined = self.next_pass() - 1;
-        let cover = match self.driver {
-            Some(driver) => driver.finish_into(&self.parent, &self.meter).0,
-            None => Vec::new(),
-        };
-        JobResult {
-            cover,
-            logical_passes: self.parent.passes(),
-            space_words: self.meter.peak(),
-            required: self.parent.universe(),
-            epochs_joined,
-        }
-    }
-}
-
-/// ε-partial `iterSetCover` query wrapping [`PartialCoverDriver`].
-struct PartialJob<'a> {
-    parent: SetStream<'a>,
-    meter: SpaceMeter,
-    driver: PartialCoverDriver<'a>,
+    driver: IterCoverDriver<'a>,
     required: usize,
 }
 
-impl<'a> PartialJob<'a> {
-    fn new(cfg: IterSetCoverConfig, epsilon: f64, root: &SetStream<'a>) -> Self {
-        let parent = root.fork();
-        let meter = SpaceMeter::new();
-        let required = coverage_goal(parent.universe(), epsilon);
-        let driver = PartialCoverDriver::new(&cfg, required, &parent, &meter);
-        Self {
-            parent,
-            meter,
-            driver,
-            required,
-        }
-    }
-}
-
-impl<'a> CoverJob<'a> for PartialJob<'a> {
+impl<'a> CoverJob<'a> for IterJob<'a> {
     fn wants_scan(&self) -> bool {
         self.driver.wants_scan()
     }
@@ -232,7 +153,7 @@ impl<'a> CoverJob<'a> for PartialJob<'a> {
 
     fn finish(self: Box<Self>) -> JobResult {
         let epochs_joined = self.next_pass() - 1;
-        let cover = self.driver.finish_into(&self.parent, &self.meter);
+        let cover = self.driver.finish_into(&self.parent, &self.meter).0;
         JobResult {
             cover,
             logical_passes: self.parent.passes(),

@@ -48,6 +48,13 @@ impl<T: HeapWords> Tracked<T> {
 
     /// Mutates the value, then re-syncs the meter with the (possibly
     /// changed) footprint.
+    ///
+    /// The footprint is recomputed with [`HeapWords::heap_words`] after
+    /// *every* mutation. A container mutated once per stream item must
+    /// therefore report its size in O(1), as `sc_core::ProjStore` (one
+    /// CSR buffer) does. `HeapWords for Vec<T>` walks every element when
+    /// `T` owns heap memory, so a `Tracked<Vec<Vec<_>>>` pushed to once
+    /// per item costs O(P²) over P pushes.
     pub fn mutate<R>(&mut self, meter: &SpaceMeter, f: impl FnOnce(&mut T) -> R) -> R {
         let out = f(&mut self.value);
         meter.resync(&mut self.charged, self.value.heap_words());
