@@ -523,7 +523,7 @@ pub(crate) fn iterations_for(cfg: &IterSetCoverConfig) -> usize {
 }
 
 /// The per-iteration sample size for guess `k` under `cfg` — the same
-/// formula [`IterSetCover::run`] uses, factored out for external
+/// formula the sequential executor uses, factored out for external
 /// drivers.
 pub(crate) fn sample_size_for(cfg: &IterSetCoverConfig, k: usize, n: usize, m: usize) -> usize {
     if cfg.paper_constants {

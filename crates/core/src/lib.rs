@@ -28,17 +28,13 @@ pub mod baselines;
 mod iter_set_cover;
 pub mod multiplex;
 pub mod partial;
-pub mod partial_machine;
 mod projstore;
 pub mod sampling;
-pub mod scan_driver;
 
 pub use iter_set_cover::{GuessExecutor, IterSetCover, IterSetCoverConfig, IterationTrace};
-pub use multiplex::IterCoverDriver;
+pub use multiplex::{IterCoverDriver, PartialCoverDriver};
 pub use partial::{
     coverage_goal, run_partial, PartialChakrabartiWirth, PartialEmekRosen, PartialIterSetCover,
     PartialProgressiveGreedy, PartialReport, PartialStreamingSetCover,
 };
-pub use partial_machine::PartialCoverDriver;
 pub use projstore::ProjStore;
-pub use scan_driver::{GuessMachine, MachineOutcome, ScanDriver};

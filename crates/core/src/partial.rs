@@ -11,8 +11,9 @@
 //! *cheaper* in exactly the way the analysis predicts, which experiment
 //! E11 measures. The ε-partial query is not a second algorithm in code
 //! either: [`PartialIterSetCover`] runs `IterSetCover`'s sequential
-//! guess loop with a residual goal, and [`crate::PartialCoverDriver`]
-//! runs the full-cover guess machine of [`crate::multiplex`] with it.
+//! guess loop with a residual goal, and
+//! [`IterCoverDriver::partial`](crate::IterCoverDriver::partial) runs
+//! the full-cover guess machine of [`crate::multiplex`] with it.
 //!
 //! Four algorithms implement [`PartialStreamingSetCover`]:
 //! [`PartialIterSetCover`] (the paper's algorithm, truncated),
@@ -78,7 +79,7 @@ pub fn coverage_goal(n: usize, epsilon: f64) -> usize {
 
 /// Per-guess RNG seed of the ε-partial `iterSetCover` — one fixed
 /// formula so the sequential reference and the guess machine
-/// ([`crate::PartialCoverDriver`]) draw identical sample streams.
+/// ([`crate::IterCoverDriver::partial`]) draw identical sample streams.
 fn partial_guess_seed(seed: u64, k: usize) -> u64 {
     seed.wrapping_add(0x5bd1_e995 * k as u64)
 }
@@ -114,8 +115,8 @@ pub fn run_partial(
 /// ε-partial `iterSetCover`: the Figure 1.3 loop, stopped as soon as
 /// the residual drops to `n - required` — the sequential reference of
 /// the ε-partial query. It runs `IterSetCover`'s sequential guess loop
-/// with a residual goal; [`crate::PartialCoverDriver`] runs the same
-/// guesses on the multiplexed guess machine, bit-identically.
+/// with a residual goal; [`crate::IterCoverDriver::partial`] runs the
+/// same guesses on the multiplexed guess machine, bit-identically.
 ///
 /// Of [`IterSetCoverConfig`], the fields that apply are `delta`,
 /// `seed`, `sample_constant` and `paper_constants`. The partial variant

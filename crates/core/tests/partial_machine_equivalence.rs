@@ -18,10 +18,7 @@ fn run_via_driver(cfg: IterSetCoverConfig, system: &SetSystem, epsilon: f64) -> 
     let mut driver = PartialCoverDriver::new(&cfg, required, &stream, &meter);
     while driver.wants_scan() {
         driver.begin_scan();
-        let items = stream.shared_pass(&driver.participants());
-        for (id, elems) in items {
-            driver.absorb(id, elems);
-        }
+        driver.absorb_items(stream.shared_pass(&driver.participants()));
         driver.end_scan();
     }
     let cover = driver.finish_into(&stream, &meter);

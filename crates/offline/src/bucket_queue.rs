@@ -15,7 +15,7 @@
 //! Tie-breaking matches the heap bit for bit: a bucket is sorted
 //! ascending by set index exactly once, when the cursor first lands on
 //! it, so equal-gain pops come out smallest-index-first just as the
-//! heap's `(gain, !index)` ordering did. [`crate::greedy`] and
+//! heap's `(gain, !index)` ordering did. [`crate::greedy()`] and
 //! [`crate::greedy_slices`] rely on that to keep covers identical to
 //! the retained heap reference implementations.
 

@@ -10,7 +10,7 @@
 //!   The priority structure is a gain-indexed [`BucketQueue`] whose
 //!   cursor only moves down — amortised `O(1)` per queue operation
 //!   versus the `O(log m)` of the retained heap reference
-//!   ([`greedy_heap`](greedy::greedy_heap)).
+//!   ([`greedy_heap`]).
 //! * **ρ = 1** — an exact solver, which the paper invokes under the
 //!   "exponential computational power" assumption (Theorem 2.8 sets
 //!   δ = c/log n with ρ = 1 to match Nisan's lower bound). Implemented

@@ -206,7 +206,6 @@ mod tests {
         fn participants(&self) -> Vec<&SetStream<'a>> {
             Vec::new()
         }
-        fn absorb(&mut self, _id: SetId, _elems: &[ElemId]) {}
         fn absorb_shard(&mut self, items: &mut dyn Iterator<Item = (SetId, &'a [ElemId])>) {
             items.for_each(drop);
             let on_lane = std::thread::current().id() == self.lane_thread;

@@ -42,8 +42,9 @@ pub(crate) struct JobResult {
 /// [`wants_scan`](CoverJob::wants_scan), call
 /// [`begin_scan`](CoverJob::begin_scan), include
 /// [`participants`](CoverJob::participants) in the shared pass, feed
-/// every item to [`absorb`](CoverJob::absorb), then
-/// [`end_scan`](CoverJob::end_scan). Finally, [`finish`](CoverJob::finish).
+/// its items shard by shard to [`absorb_shard`](CoverJob::absorb_shard),
+/// then [`end_scan`](CoverJob::end_scan). Finally,
+/// [`finish`](CoverJob::finish).
 pub(crate) trait CoverJob<'a>: Send {
     /// `true` while the job needs to join the next physical scan.
     fn wants_scan(&self) -> bool;
@@ -56,20 +57,12 @@ pub(crate) trait CoverJob<'a>: Send {
     fn begin_scan(&mut self);
     /// The forked streams that must log a logical pass for this scan.
     fn participants(&self) -> Vec<&SetStream<'a>>;
-    /// Feeds one stream item.
-    fn absorb(&mut self, id: SetId, elems: &[ElemId]);
     /// Feeds a run of stream items — one shard of the zero-copy feed
     /// the epoch scheduler drives jobs with
     /// ([`sc_stream::ShardedPass`]). Shards of one scan must arrive in
     /// repository order (the scheduler's feed cursor guarantees it),
     /// so the job observes exactly the item sequence of a solo pass.
-    /// The default feeds [`absorb`](CoverJob::absorb) item by item;
-    /// driver-backed jobs forward to their driver's batch entry point.
-    fn absorb_shard(&mut self, items: &mut dyn Iterator<Item = (SetId, &'a [ElemId])>) {
-        for (id, elems) in items {
-            self.absorb(id, elems);
-        }
-    }
+    fn absorb_shard(&mut self, items: &mut dyn Iterator<Item = (SetId, &'a [ElemId])>);
     /// Runs the between-scan transition after the scan's items end.
     fn end_scan(&mut self);
     /// Releases the job and reports its measurements.
@@ -139,10 +132,6 @@ impl<'a> CoverJob<'a> for IterJob<'a> {
         self.driver.participants()
     }
 
-    fn absorb(&mut self, id: SetId, elems: &[ElemId]) {
-        self.driver.absorb(id, elems);
-    }
-
     fn absorb_shard(&mut self, items: &mut dyn Iterator<Item = (SetId, &'a [ElemId])>) {
         self.driver.absorb_items(items);
     }
@@ -209,14 +198,14 @@ impl<'a> CoverJob<'a> for GreedyJob<'a> {
         vec![&self.parent]
     }
 
-    fn absorb(&mut self, _id: SetId, elems: &[ElemId]) {
-        self.store
-            .as_mut()
-            .expect("scan in progress")
-            .mutate(&self.meter, |(offsets, flat)| {
+    fn absorb_shard(&mut self, items: &mut dyn Iterator<Item = (SetId, &'a [ElemId])>) {
+        let store = self.store.as_mut().expect("scan in progress");
+        for (_, elems) in items {
+            store.mutate(&self.meter, |(offsets, flat)| {
                 flat.extend_from_slice(elems);
                 offsets.push(flat.len() as u32);
             });
+        }
     }
 
     fn end_scan(&mut self) {

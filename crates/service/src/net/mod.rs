@@ -13,7 +13,7 @@
 //! [`protocol::Reply`](crate::protocol::Reply)) through one dispatch
 //! table: [`pump_queries`] is the blocking stdin/stdout pump (one
 //! reader thread, ordered replies), while the TCP path is the
-//! event-driven session layer in [`poller`] — one thread multiplexing
+//! event-driven session layer in `poller` — one thread multiplexing
 //! every connection through a readiness loop with hard per-session
 //! buffer caps, a connection limit, and explicit `err msg=busy`
 //! load-shedding instead of unbounded queue growth.
@@ -365,7 +365,7 @@ where
 
 /// Serves the line protocol on an already-bound listener with the
 /// default [`NetConfig`]: every accepted connection speaks the
-/// protocol through one event-driven session layer (see [`poller`]),
+/// protocol through one event-driven session layer (see `poller`),
 /// all sharing one scan scheduler; the `shutdown` command stops the
 /// listener once inflight work drains.
 ///

@@ -475,7 +475,7 @@ impl ServiceBuilder {
     /// Adds a named tenant with its own inflight quota: the cap on
     /// queries it may hold inside scan epochs at once, independent of
     /// the service-wide `max_inflight` default — the sizing half of
-    /// cross-tenant fairness (the [`FairGate`] is the scheduling
+    /// cross-tenant fairness (the `FairGate` is the scheduling
     /// half).
     #[must_use]
     pub fn tenant_with_quota(
@@ -553,8 +553,8 @@ impl ServiceBuilder {
 
     /// Sets the fairness quantum: the lane's burst of `(tenant, shard)`
     /// units per arbitration turn of the gate (default `workers`: one
-    /// turn refills the machine's worker budget). See
-    /// [`crate::fairness`].
+    /// turn refills the machine's worker budget). See the `fairness`
+    /// module.
     #[must_use]
     pub fn quantum(mut self, q: u64) -> Self {
         self.quantum = Some(q);
@@ -682,7 +682,7 @@ impl Service {
 
     /// Solves a batch of queries through shared scan epochs. The batch
     /// is one serve lane whose intake was filled in advance and closed
-    /// ([`Intake::prefilled`]): every query is submitted at the call's
+    /// (`Intake::prefilled`): every query is submitted at the call's
     /// start (so latency counts from there) and admitted at an epoch
     /// boundary, up to `max_inflight` at a time; repeats of an
     /// already-retired spec are answered from the cache, and — with
@@ -741,7 +741,7 @@ impl Service {
     /// behaves bit-identically to a solo service — while the lanes
     /// share the outcome cache (tenant-partitioned) and arbitrate scan
     /// work, one `(tenant, shard)` unit at a time, through the
-    /// deficit-round-robin [`FairGate`]: a hot tenant cannot starve a
+    /// deficit-round-robin `FairGate`: a hot tenant cannot starve a
     /// cold one, and a cold tenant's admission (stage 1, including
     /// cache hits) never waits on the gate at all.
     ///

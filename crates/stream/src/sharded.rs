@@ -336,7 +336,7 @@ impl FeedCursor {
 /// per tenant scan epoch, in `sc_service`) attach their `(consumer,
 /// shard)` grids to and detach from dynamically.
 ///
-/// Each attached lane gets its own [`Grid`] — the exact structure
+/// Each attached lane gets its own `Grid` — the exact structure
 /// behind [`FeedCursor`] — so the per-lane scheduling semantics are
 /// *identical* to a solo `FeedCursor`: every consumer of a lane
 /// observes every shard of **its own lane's** repository exactly once,
