@@ -1,12 +1,13 @@
 //! E25 — shard-granular cross-tenant interleaving: aggregate
-//! throughput of K narrow tenants under one work-stealing fan-out.
+//! throughput of K narrow tenants whose fan-outs run concurrently.
 //!
 //! Not a paper artifact: this experiment prices the PR 10 scheduling
 //! change. The fairness gate's unit is one `(tenant, shard)` work item:
-//! every granted lane's in-flight epoch feeds the shared [`sc_service`]
-//! interleaved cursor, the deficit-round-robin gate meters shard units,
-//! and K narrow tenants (quota 1) share the pool together instead of
-//! serializing into K single-consumer fan-outs.
+//! each granted lane's scan runs its own workers over its own feed
+//! cursor (`sc_stream::FeedCursor`), the deficit-round-robin gate meters
+//! shard units across lanes, and K narrow tenants (quota 1) advance
+//! concurrently instead of serializing into K single-consumer
+//! fan-outs.
 //!
 //! Three rows: the K-tenant flood, then the E23-style cold-tenant probe
 //! — unloaded baseline and mid-flood — to re-assert the starvation
@@ -140,8 +141,8 @@ impl SeedIndex for sc_service::QueryOutcome {
     }
 }
 
-/// Shard-granular interleaving: K narrow tenants through one
-/// work-stealing fan-out.
+/// Shard-granular interleaving: K narrow tenants, their fan-outs
+/// metered per shard by one gate.
 pub fn interleave(scale: Scale) -> Table {
     let mut table = Table::new(
         "E25 — shard-granular cross-tenant interleaving: K narrow tenants, one fan-out",

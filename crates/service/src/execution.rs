@@ -3,17 +3,17 @@
 //! included.
 //!
 //! The feed ([`sc_stream::ShardedPass`]) exposes the repository as
-//! zero-copy contiguous shards. Every scan attaches its lane's `(job,
-//! shard)` grid to the service-wide [`sc_stream::InterleavedCursor`],
-//! which hands units to whichever worker is free with every job
+//! zero-copy contiguous shards. Every scan owns one
+//! [`sc_stream::FeedCursor`] over its `(job, shard)` grid, which hands
+//! units to whichever of the scan's workers is free with every job
 //! observing every shard in repository order — so per-query state
-//! evolves exactly as in a solo run while a heavy query no longer pins
-//! a static chunk of the pool. Each absorbed shard holds one
-//! [`FairGate`] unit ([`ShardInterleave`]): all granted tenant lanes
-//! advance their in-flight epochs through the machine concurrently,
-//! with deficit round robin charged per `(tenant, shard)` unit. A batch
-//! run is a lane like any other, on a one-lane gate whose solo fast
-//! path skips arbitration.
+//! evolves exactly as in a solo run while a heavy query does not pin a
+//! static chunk of the pool. Each absorbed shard holds one [`FairGate`]
+//! unit ([`ShardInterleave`]). Tenant lanes advance their scans
+//! concurrently, each on its own threads over its own cursor; the
+//! gate's capacity and deficit round robin, charged per `(tenant,
+//! shard)` unit, are what they share. A batch run is a lane like any
+//! other, on a one-lane gate whose solo fast path skips arbitration.
 //!
 //! The worker that absorbs a job's last shard runs that job's
 //! `end_scan` on the spot, outside its gate unit, so the scan boundary
@@ -29,32 +29,29 @@
 use crate::admission::Inflight;
 use crate::fairness::FairGate;
 use crate::tenants::{LedgerEvent, TenantCounters};
-use sc_stream::{Claim, InterleavedCursor, LaneFeed, ShardedPass};
+use sc_stream::{Claim, FeedCursor, ShardedPass};
 use std::sync::Mutex;
 
-/// Everything the fan-out needs to interleave this lane's scan with its
+/// What the fan-out needs to meter this lane's scan against its
 /// neighbours': the machine-wide [`FairGate`] metering `(tenant,
-/// shard)` units, the shared [`InterleavedCursor`] registry every lane
-/// attaches its feed to, and the tenant's ledger, which counts every
-/// granted unit.
+/// shard)` units, and the tenant's ledger, which counts every granted
+/// unit.
 pub(crate) struct ShardInterleave<'x> {
     pub gate: &'x FairGate,
     pub lane: usize,
-    pub fanout: &'x InterleavedCursor,
     pub counters: &'x TenantCounters,
 }
 
-/// Runs one scan's fan-out to completion, scan boundary included:
-/// this lane's `(job, shard)` grid attaches to the shared
-/// [`InterleavedCursor`] registry, and every absorbed shard holds one
-/// RAII unit from the machine-wide gate — so while this epoch runs, the
-/// box is concurrently advancing every *other* granted lane's epoch
-/// too, with DRR deciding whose units go next. Claim before acquire: a
+/// Runs one scan's fan-out to completion, scan boundary included: the
+/// scan's own [`FeedCursor`] hands out its `(job, shard)` units, and
+/// every absorbed shard holds one RAII unit from the machine-wide gate
+/// — other lanes run their own scans on their own threads meanwhile,
+/// with DRR deciding whose units go next. Claim before acquire: a
 /// worker blocked on the gate already holds its consumer's claim, so
-/// its lane siblings steal other consumers instead of racing it for
-/// this one, and no grant is ever wasted on a worker with nothing to
-/// feed. The worker that absorbs a job's last shard releases the unit
-/// and then runs the job's `end_scan`.
+/// its siblings steal other consumers instead of racing it for this
+/// one, and no grant is ever wasted on a worker with nothing to feed.
+/// The worker that absorbs a job's last shard releases the unit and
+/// then runs the job's `end_scan`.
 ///
 /// The calling lane thread is one of the `workers` and runs the same
 /// claim loop as the `workers − 1` scoped threads beside it, calling
@@ -62,10 +59,9 @@ pub(crate) struct ShardInterleave<'x> {
 /// granted unit is counted in the tenant's ledger as a shard grant (a
 /// dying worker propagates its panic instead of returning).
 ///
-/// Per-lane scheduling semantics (every job sees every shard of its
-/// own tenant's repository exactly once, in order) are [`LaneFeed`]'s
-/// invariants, which is what keeps per-query observables bit-identical
-/// to a solo run.
+/// Every job sees every shard of its own tenant's repository exactly
+/// once, in order — [`FeedCursor`]'s invariants, which is what keeps
+/// per-query observables bit-identical to a solo run.
 pub(crate) fn fan_out<'g>(
     feed: &ShardedPass<'g>,
     inflight: &mut [Inflight<'g>],
@@ -82,15 +78,15 @@ pub(crate) fn fan_out<'g>(
         return;
     }
     let workers = workers.min(inflight.len());
-    let lane_feed = il.fanout.attach(inflight.len(), shards);
+    let cursor = feed.cursor(inflight.len());
     let slots: Vec<Mutex<&mut Inflight<'g>>> = inflight.iter_mut().map(Mutex::new).collect();
-    /// Aborts the lane's feed if the owning worker unwinds mid-unit:
+    /// Aborts the scan's cursor if the owning worker unwinds mid-unit:
     /// its consumer would stay claimed forever, and siblings would
     /// spin on `Retry` instead of letting the scope join and propagate
-    /// the panic. Only this lane's feed: a cross-lane abort would let a
-    /// healthy lane's fan-out return with an incomplete scan.
-    struct AbortLaneOnUnwind<'c, 'f>(&'c LaneFeed<'f>);
-    impl Drop for AbortLaneOnUnwind<'_, '_> {
+    /// the panic. The cursor is this scan's own, so no other lane's
+    /// scan is touched.
+    struct AbortOnUnwind<'c>(&'c FeedCursor);
+    impl Drop for AbortOnUnwind<'_> {
         fn drop(&mut self) {
             if std::thread::panicking() {
                 self.0.abort();
@@ -98,9 +94,9 @@ pub(crate) fn fan_out<'g>(
         }
     }
     let work = |between_units: &mut dyn FnMut()| {
-        let _guard = AbortLaneOnUnwind(&lane_feed);
+        let _guard = AbortOnUnwind(&cursor);
         loop {
-            match lane_feed.claim() {
+            match cursor.claim() {
                 Claim::Shard { consumer, shard } => {
                     let unit = il.gate.acquire_unit(il.lane);
                     let mut fl = slots[consumer].lock().expect("job slot poisoned");
@@ -111,7 +107,7 @@ pub(crate) fn fan_out<'g>(
                         fl.job.end_scan();
                     }
                     drop(fl);
-                    lane_feed.complete(consumer, shard);
+                    cursor.complete(consumer, shard);
                 }
                 Claim::Retry => std::thread::yield_now(),
                 Claim::Done => break,
@@ -274,30 +270,28 @@ mod tests {
         let feed = root.sharded_pass(&[&fork], 1);
         assert_eq!(feed.num_shards(), 2);
         let gate = FairGate::new(2, 1, 4);
-        let fanout = InterleavedCursor::new();
         let meta = TenantMeta::new(0, "execution_panic_probe", 1);
         let healthy_meta = TenantMeta::new(1, "execution_healthy_lane", 1);
         let signals = Arc::new(Signals::default());
+        let healthy_entered = AtomicBool::new(false);
         let healthy_tallies = std::thread::scope(|s| {
-            // Lane 1 attaches first; its absorbs hold until lane 0's
-            // panicking worker has exited, so it is mid-scan throughout.
+            // Lane 1 enters the gate first; its absorbs hold until lane
+            // 0's panicking worker has exited, so it is mid-scan
+            // throughout.
             let healthy = s.spawn(|| {
                 let me = std::thread::current().id();
                 let (mut jobs, tallies) = lane_jobs(2, &signals, me, false);
                 let il = ShardInterleave {
                     gate: &gate,
                     lane: 1,
-                    fanout: &fanout,
                     counters: healthy_meta.counters(),
                 };
                 let _session = gate.enter(1);
+                healthy_entered.store(true, Ordering::Release);
                 fan_out(&feed, &mut jobs, 2, &mut || {}, &il);
                 tallies
             });
-            let t0 = Instant::now();
-            while fanout.live_lanes() == 0 && t0.elapsed() < Duration::from_secs(10) {
-                std::thread::yield_now();
-            }
+            wait_for(&healthy_entered);
             // Lane 0: the lane thread holds its first absorb until the
             // spawned worker has fed the other job both shards, panicked
             // in that job's `end_scan`, and exited; the spawned worker
@@ -309,7 +303,6 @@ mod tests {
             let il = ShardInterleave {
                 gate: &gate,
                 lane: 0,
-                fanout: &fanout,
                 counters: meta.counters(),
             };
             let outcome = {
@@ -329,7 +322,8 @@ mod tests {
                 .collect();
             absorbed.sort_unstable();
             // The lane thread finished its held unit, then found its
-            // lane aborted instead of claiming the job's second shard.
+            // scan's cursor aborted instead of claiming the job's
+            // second shard.
             assert_eq!(absorbed, [1, 2], "the panicking lane's feed was aborted");
             healthy.join().expect("the healthy lane must not panic")
         });
@@ -342,7 +336,5 @@ mod tests {
             assert_eq!(tally.absorbed.load(Ordering::Acquire), 2);
             assert_eq!(tally.ended.load(Ordering::Acquire), 1);
         }
-        assert_eq!(fanout.live_lanes(), 0);
-        assert_eq!(fanout.remaining(), 0, "the aborted lane left the books");
     }
 }

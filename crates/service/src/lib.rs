@@ -26,7 +26,7 @@
 //! |---|---|---|
 //! | 1 admission | `admission` | intake from the submission channel (queries, `!reload`), outcome-cache probe, coalesce-or-build disposition, the backlog (deferred queries, or a whole batch) admitted only at epoch boundaries |
 //! | 2 alignment | `alignment` | pass-indexed join planning: which queued query splices into which in-flight scan (pass-2 joins pass-2), the splice itself (ledger join + zero-copy replay), the admission window |
-//! | 3 execution | `execution` | the sharded work-stealing fan-out ([`sc_stream::ShardedPass`] through the shared [`sc_stream::InterleavedCursor`], one gate unit per absorbed shard; a batch is one lane), scan boundary included (the worker that absorbs a job's last shard runs its `end_scan`), with the lane thread as one of the workers draining arrivals between its claims (non-blocking accept) |
+//! | 3 execution | `execution` | the sharded work-stealing fan-out ([`sc_stream::ShardedPass`] through the scan's own [`sc_stream::FeedCursor`], one gate unit per absorbed shard; lanes run their scans concurrently and share only the gate; a batch is one lane), scan boundary included (the worker that absorbs a job's last shard runs its `end_scan`), with the lane thread as one of the workers draining arrivals between its claims (non-blocking accept) |
 //! | 4 retirement | `retirement` | outcome construction (tenant- and generation-tagged), cache fill + eviction accounting, reply fan-out to the query and its coalesced followers |
 //! |  lifecycle | `tenants` | [`TenantRegistry`] / [`Tenant`] / [`RepositoryGeneration`]: named repositories, each a fingerprint-versioned generation chain behind its own hot swap, with per-tenant quotas and counters |
 //! |  fairness | `fairness` | the deficit-round-robin gate arbitrating tenant lanes' scan work per `(tenant, shard)` unit — a hot tenant cannot starve a cold one |
@@ -56,12 +56,12 @@
 //!   repositories ([`TenantRegistry`], built through
 //!   [`ServiceBuilder`]): each tenant runs its own scheduler lane
 //!   (own generation chain, own submission queue, own quota) while
-//!   sharing the worker pool and the outcome cache (partitioned by
+//!   sharing the gate's worker capacity and the outcome cache (partitioned by
 //!   tenant in the key). The protocol addresses tenants with
 //!   `!use <name>` per connection or `repo=<name>` per query, and a
 //!   deficit-round-robin gate over `(tenant, shard)` work units
 //!   (`fairness`) keeps a hot tenant from starving a cold one while
-//!   every granted lane's scan shares the worker pool — cold-tenant
+//!   the lanes' scans share the gate's worker capacity — cold-tenant
 //!   admission never waits on hot-tenant scans at all, only execution
 //!   is arbitrated.
 //! * **Repository lifecycle** — every served repository is a

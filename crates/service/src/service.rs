@@ -19,7 +19,7 @@ use crate::query::{QueryOutcome, QuerySpec};
 use crate::telemetry::tel;
 use crate::tenants::{LedgerEvent, RepositoryGeneration, Tenant, TenantMeta, TenantRegistry};
 use sc_setsystem::SetSystem;
-use sc_stream::{InterleavedCursor, ScanLedger, SetStream};
+use sc_stream::{ScanLedger, SetStream};
 use sc_telemetry::EventKind;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -716,12 +716,7 @@ impl Service {
         // One lane on a one-lane gate: the gate's solo fast path skips
         // arbitration.
         let gate = FairGate::new(1, self.quantum, self.cfg.workers as u64);
-        let metrics = self.lane_scheduler(
-            0,
-            Intake::prefilled(batch),
-            &gate,
-            &InterleavedCursor::new(),
-        );
+        let metrics = self.lane_scheduler(0, Intake::prefilled(batch), &gate);
         let outcomes = replies
             .into_iter()
             .map(|rx| rx.recv().expect("every batch query is answered"))
@@ -779,15 +774,11 @@ impl Service {
             wake: None,
         };
         let gate = &FairGate::new(lanes, self.quantum, self.cfg.workers as u64);
-        let fanout = InterleavedCursor::new();
-        let fanout = &fanout;
         std::thread::scope(|s| {
             let lanes: Vec<_> = inboxes
                 .into_iter()
                 .enumerate()
-                .map(|(lane, rx)| {
-                    s.spawn(move || self.lane_scheduler(lane, Intake::new(rx), gate, fanout))
-                })
+                .map(|(lane, rx)| s.spawn(move || self.lane_scheduler(lane, Intake::new(rx), gate)))
                 .collect();
             let r = clients(handle);
             let mut metrics = ServiceMetrics::default();
@@ -804,13 +795,7 @@ impl Service {
     /// queries drain on it first; the swap is acknowledged once it
     /// took effect). Scan work goes through the shared [`FairGate`]
     /// one `(tenant, shard)` unit at a time.
-    fn lane_scheduler(
-        &self,
-        lane: usize,
-        mut intake: Intake,
-        gate: &FairGate,
-        fanout: &InterleavedCursor,
-    ) -> ServiceMetrics {
+    fn lane_scheduler(&self, lane: usize, mut intake: Intake, gate: &FairGate) -> ServiceMetrics {
         let tenant = self.registry.tenant(lane);
         let counters = tenant.meta().counters();
         let before = counters.totals();
@@ -822,7 +807,6 @@ impl Service {
             let il = execution::ShardInterleave {
                 gate,
                 lane,
-                fanout,
                 counters: gen.tenant.counters(),
             };
             self.run_generation(&gen, &mut intake, &mut metrics, &mut physical, &il);
@@ -949,8 +933,8 @@ impl Service {
                 continue;
             }
             // Stages 2 + 3 — one scan epoch, its fan-out metered per
-            // (tenant, shard) unit through the shared cursor, so every
-            // granted lane advances concurrently.
+            // (tenant, shard) unit through the shared gate while other
+            // lanes run their own scans concurrently.
             self.epoch(
                 gen,
                 &root,
@@ -969,8 +953,8 @@ impl Service {
     /// physical pass — exposed as a zero-copy sharded feed — arrivals
     /// drained from the channel while the scan is in flight splice into
     /// it at its boundary, and the work-stealing worker pool fans the
-    /// per-query state updates out shard by shard through the
-    /// service-wide shared cursor, with one gate unit held per shard
+    /// per-query state updates out shard by shard through the scan's
+    /// own cursor, with one gate unit held per shard
     /// (see [`execution::ShardInterleave`]). Every job's `end_scan`
     /// runs inside the fan-out (or, for a spliced joiner, right after
     /// its replay), so the epoch ends when the splice does. The lane
@@ -999,7 +983,7 @@ impl Service {
                 .iter()
                 .flat_map(|fl| fl.job.participants())
                 .collect();
-            ledger.scan_sharded(root, &participants, self.cfg.shard_size)
+            ledger.scan(root, &participants, self.cfg.shard_size)
         };
         if sc_telemetry::enabled() {
             // One lifecycle event per rider of this physical scan,

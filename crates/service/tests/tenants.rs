@@ -10,7 +10,7 @@
 use sc_core::baselines::StoreAllGreedy;
 use sc_core::partial::{run_partial, PartialIterSetCover};
 use sc_core::{IterSetCover, IterSetCoverConfig};
-use sc_service::{QuerySpec, ServiceBuilder};
+use sc_service::{QuerySpec, ServiceBuilder, ServiceConfig};
 use sc_setsystem::{gen, SetSystem};
 use sc_stream::run_reported;
 
@@ -48,8 +48,9 @@ fn solo(spec: &QuerySpec, system: &SetSystem) -> (Vec<u32>, usize, usize) {
 
 /// The bit-identity suite body: however the fairness gate interleaves
 /// the tenants' `(tenant, shard)` units, every answer must match a solo
-/// run exactly.
-fn bit_identity_under_interleaved_load() {
+/// run exactly. `shard_size` sets the sets per shard, so `1` makes both
+/// lanes' concurrent fan-outs claim once per set.
+fn bit_identity_under_interleaved_load(shard_size: usize) {
     let alpha = gen::planted(256, 512, 8, 11);
     let beta = gen::planted(192, 384, 6, 22);
     let specs: Vec<QuerySpec> = (0..4)
@@ -66,6 +67,7 @@ fn bit_identity_under_interleaved_load() {
         })
         .collect();
     let service = ServiceBuilder::new()
+        .shard_size(shard_size)
         .tenant("alpha", alpha.system.clone())
         .tenant("beta", beta.system.clone())
         .build();
@@ -95,15 +97,18 @@ fn bit_identity_under_interleaved_load() {
         };
         let (cover, passes, space) = solo(&outcome.spec, system);
         assert_eq!(&*outcome.tenant, name);
-        assert_eq!(outcome.cover, cover, "{name}: {:?}", outcome.spec);
-        assert_eq!(outcome.logical_passes, passes, "{name}: {:?}", outcome.spec);
-        assert_eq!(outcome.space_words, space, "{name}: {:?}", outcome.spec);
+        let at = format!("{name}, shard_size {shard_size}: {:?}", outcome.spec);
+        assert_eq!(outcome.cover, cover, "{at}");
+        assert_eq!(outcome.logical_passes, passes, "{at}");
+        assert_eq!(outcome.space_words, space, "{at}");
     }
 }
 
 #[test]
 fn each_tenant_answers_bit_identically_to_solo_under_shard_interleaving() {
-    bit_identity_under_interleaved_load();
+    for shard_size in [ServiceConfig::default().shard_size, 1] {
+        bit_identity_under_interleaved_load(shard_size);
+    }
 }
 
 #[test]

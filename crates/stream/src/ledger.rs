@@ -1,7 +1,7 @@
 //! Multi-owner shared-scan accounting for a driver that serves many
 //! independent streaming computations over one repository.
 
-use crate::SetStream;
+use crate::{SetStream, ShardedPass};
 use std::cell::Cell;
 use std::sync::OnceLock;
 
@@ -15,7 +15,7 @@ fn scans_counter() -> &'static sc_telemetry::Counter {
 }
 
 /// Process-wide telemetry counter of pass owners joined onto in-flight
-/// scans, the mirror of [`mid_stream_joins`](ScanLedger::mid_stream_joins).
+/// scans through [`join`](ScanLedger::join).
 fn joins_counter() -> &'static sc_telemetry::Counter {
     static C: OnceLock<&'static sc_telemetry::Counter> = OnceLock::new();
     C.get_or_init(|| sc_telemetry::counter("sc_scan_joins_total"))
@@ -52,15 +52,15 @@ fn joins_counter() -> &'static sc_telemetry::Counter {
 /// let root = SetStream::new(&system);
 /// let (a, b) = (root.fork(), root.fork());
 /// let ledger = ScanLedger::new();
-/// // Two queries' passes ride one physical scan.
-/// for (_id, _elems) in ledger.scan(&root, &[&a, &b]) {}
+/// // Two queries' passes ride one physical scan, fed in shards of 2.
+/// let feed = ledger.scan(&root, &[&a, &b], 2);
+/// assert_eq!(feed.num_shards(), 1);
 /// assert_eq!(ledger.physical_scans(), 1);
 /// assert_eq!((a.passes(), b.passes()), (1, 1));
 /// ```
 #[derive(Debug, Default)]
 pub struct ScanLedger {
     physical: Cell<usize>,
-    joined: Cell<usize>,
 }
 
 impl ScanLedger {
@@ -72,13 +72,6 @@ impl ScanLedger {
     /// Number of physical scans performed through this ledger.
     pub fn physical_scans(&self) -> usize {
         self.physical.get()
-    }
-
-    /// Number of pass owners that joined a scan mid-stream via
-    /// [`join`](ScanLedger::join) instead of being in the original
-    /// participant list.
-    pub fn mid_stream_joins(&self) -> usize {
-        self.joined.get()
     }
 
     /// The 1-based pass index of the scan most recently started through
@@ -93,42 +86,21 @@ impl ScanLedger {
     }
 
     /// Performs one physical scan of `stream`'s repository on behalf of
-    /// `participants`, each of which logs one logical pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `participants` is empty or if any participant is not a
-    /// fork of `stream`'s repository (see [`SetStream::shared_pass`]).
-    pub fn scan<'a>(
-        &self,
-        stream: &SetStream<'a>,
-        participants: &[&SetStream<'a>],
-    ) -> impl Iterator<Item = (sc_setsystem::SetId, &'a [sc_setsystem::ElemId])> {
-        self.physical.set(self.physical.get() + 1);
-        scans_counter().incr();
-        stream.shared_pass(participants)
-    }
-
-    /// Performs one physical scan of `stream`'s repository on behalf of
     /// `participants`, exposed as a zero-copy sharded feed
-    /// ([`ShardedPass`](crate::ShardedPass)) instead of a
-    /// single-consumer iterator — the fan-out driver's entry point.
-    ///
-    /// Accounting matches [`scan`](ScanLedger::scan) exactly: one
-    /// physical scan is counted for the feed as a whole and each
-    /// participant logs one logical pass, no matter how many shards or
-    /// worker threads consume the feed.
+    /// ([`ShardedPass`]): one physical scan is counted for the feed as a
+    /// whole and each participant logs one logical pass, no matter how
+    /// many shards or worker threads consume the feed.
     ///
     /// # Panics
     ///
     /// Panics if `participants` is empty, if any participant is not a
     /// fork of `stream`'s repository, or if `shard_size` is zero.
-    pub fn scan_sharded<'a>(
+    pub fn scan<'a>(
         &self,
         stream: &SetStream<'a>,
         participants: &[&SetStream<'a>],
         shard_size: usize,
-    ) -> crate::ShardedPass<'a> {
+    ) -> ShardedPass<'a> {
         self.physical.set(self.physical.get() + 1);
         scans_counter().incr();
         stream.sharded_pass(participants, shard_size)
@@ -138,8 +110,8 @@ impl ScanLedger {
     /// scan most recently started through this ledger: each logs one
     /// logical pass ([`SetStream::join_shared_pass`]) while the
     /// physical count stays untouched — the walk already happened (or
-    /// is in flight, its items buffered), and the driver replays the
-    /// buffered items to the joiners, so the hardware pays nothing
+    /// is in flight), and the driver replays its items to the joiners
+    /// through [`ShardedPass::replay`], so the hardware pays nothing
     /// extra. Returns the [`scan_index`](ScanLedger::scan_index) of the
     /// scan joined, so the caller can tag the splice with the pass it
     /// aligned to.
@@ -155,7 +127,6 @@ impl ScanLedger {
             "mid-stream join needs a scan in flight"
         );
         stream.join_shared_pass(participants);
-        self.joined.set(self.joined.get() + participants.len());
         joins_counter().add(participants.len() as u64);
         self.physical.get()
     }
@@ -179,7 +150,7 @@ mod tests {
         let participants: Vec<&SetStream> = queries.iter().collect();
         assert_eq!(ledger.scan_index(), 0, "no scan tagged yet");
         for s in 0..3 {
-            let items: Vec<_> = ledger.scan(&root, &participants).collect();
+            let items: Vec<_> = ledger.scan(&root, &participants, 2).replay().collect();
             assert_eq!(items.len(), 3);
             assert_eq!(ledger.scan_index(), s + 1, "scans are pass-tagged");
         }
@@ -197,8 +168,8 @@ mod tests {
         let early = root.fork();
         let late = root.fork();
         let ledger = ScanLedger::new();
-        for (_id, _e) in ledger.scan(&root, &[&early]) {}
-        for (_id, _e) in ledger.scan(&root, &[&early, &late]) {}
+        for (_id, _e) in ledger.scan(&root, &[&early], 2).replay() {}
+        for (_id, _e) in ledger.scan(&root, &[&early, &late], 2).replay() {}
         assert_eq!(ledger.physical_scans(), 2);
         assert_eq!((early.passes(), late.passes()), (2, 1));
     }
@@ -210,13 +181,12 @@ mod tests {
         let early = root.fork();
         let late = root.fork();
         let ledger = ScanLedger::new();
-        let items: Vec<_> = ledger.scan(&root, &[&early]).collect();
-        // A query arrives while that scan's items are still being fanned
-        // out: it joins the in-flight scan and replays `items`.
+        let feed = ledger.scan(&root, &[&early], 2);
+        // A query arrives while that scan is still being fanned out: it
+        // joins the in-flight scan and replays its items.
         assert_eq!(ledger.join(&root, &[&late]), 1, "joined scan #1");
-        assert_eq!(items.len(), 3);
+        assert_eq!(feed.replay().count(), 3);
         assert_eq!(ledger.physical_scans(), 1, "no second walk");
-        assert_eq!(ledger.mid_stream_joins(), 1);
         assert_eq!((early.passes(), late.passes()), (1, 1));
     }
 
@@ -226,7 +196,7 @@ mod tests {
         let root = SetStream::new(&sys);
         let (a, b) = (root.fork(), root.fork());
         let ledger = ScanLedger::new();
-        let feed = ledger.scan_sharded(&root, &[&a, &b], 2);
+        let feed = ledger.scan(&root, &[&a, &b], 2);
         let ids: Vec<_> = (0..feed.num_shards())
             .flat_map(|s| feed.shard(s).map(|(id, _)| id))
             .collect();
@@ -250,6 +220,6 @@ mod tests {
         let sys = system();
         let root = SetStream::new(&sys);
         let ledger = ScanLedger::new();
-        let _ = ledger.scan(&root, &[]);
+        let _ = ledger.scan(&root, &[], 2);
     }
 }

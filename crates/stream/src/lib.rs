@@ -52,6 +52,6 @@ pub use item_stream::ItemStream;
 pub use ledger::ScanLedger;
 pub use report::RunReport;
 pub use set_stream::SetStream;
-pub use sharded::{Claim, FeedCursor, InterleavedCursor, LaneFeed, ShardedPass};
+pub use sharded::{Claim, FeedCursor, ShardedPass};
 pub use space::SpaceMeter;
 pub use tracked::Tracked;

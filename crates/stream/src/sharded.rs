@@ -2,15 +2,11 @@
 //! physical scan, plus the work-stealing cursor that hands shards to a
 //! pool of workers.
 //!
-//! The epoch scheduler in `sc_service` used to materialise every scan
-//! as a `Vec<(id, &[elems])>` before fanning it out to worker threads —
-//! an `O(m)` copy per epoch that exists only because a `shared_pass`
-//! iterator can be consumed once while several workers each need the
-//! whole item sequence. [`ShardedPass`] removes the copy: the
-//! repository is partitioned into contiguous shards of set ids, and any
-//! number of workers read any shard directly from the repository slices
-//! ([`ShardedPass::shard`] borrows with the repository lifetime, so a
-//! shard iterator is free to construct and free to re-create).
+//! [`ShardedPass`] partitions the repository into contiguous shards of
+//! set ids, and any number of workers read any shard directly from the
+//! repository slices ([`ShardedPass::shard`] borrows with the
+//! repository lifetime, so a shard iterator is free to construct and
+//! free to re-create). No scan is ever materialised into a buffer.
 //!
 //! [`FeedCursor`] is the scheduling half: a work-stealing cursor over
 //! the `(consumer, shard)` grid for feeds where every consumer (a query
@@ -19,33 +15,29 @@
 //! to a solo run. Each consumer advances through its shards strictly in
 //! order with at most one shard in flight, while *which worker* carries
 //! a given `(consumer, shard)` unit is decided dynamically by atomic
-//! claim — so a heavy query no longer pins the static chunk of queries
+//! claim — so a heavy query does not pin the static chunk of queries
 //! that happened to be scheduled beside it.
 //!
-//! [`InterleavedCursor`] lifts the same claim protocol to many
-//! concurrent feeds: independent *lanes* (one per tenant epoch in
-//! `sc_service`) attach their own grids to a shared registry, so a
-//! machine-wide scheduler can meter `(tenant, shard)` units across
-//! tenants while each lane keeps the exact per-consumer
-//! exactly-once-in-order guarantee of a solo [`FeedCursor`].
+//! Each scan owns its cursor ([`ShardedPass::cursor`]), so the claims,
+//! completions and abort of one scan never touch another's: concurrent
+//! scans (one per tenant lane in `sc_service`) share nothing here, and
+//! a worker pool that dies aborts exactly the scan it was feeding.
 //!
 //! Accounting is unchanged from [`SetStream::shared_pass`]: creating a
 //! sharded pass logs one logical pass per participant, and
-//! [`ScanLedger::scan_sharded`](crate::ScanLedger::scan_sharded) counts
-//! one physical scan per feed, no matter how many shards or workers
-//! consume it.
+//! [`ScanLedger::scan`](crate::ScanLedger::scan) counts one physical
+//! scan per feed, no matter how many shards or workers consume it.
 
 use crate::SetStream;
 use sc_setsystem::{ElemId, SetId, SetSystem};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// A zero-copy sharded view of one shared physical scan.
 ///
 /// Created by [`SetStream::sharded_pass`] (which performs the logical
 /// pass accounting for every participant, exactly like
 /// [`SetStream::shared_pass`]) or
-/// [`ScanLedger::scan_sharded`](crate::ScanLedger::scan_sharded) (which
+/// [`ScanLedger::scan`](crate::ScanLedger::scan) (which
 /// additionally counts the physical scan). The view is `Sync`: shard
 /// iterators borrow the repository directly, so many workers can read
 /// disjoint — or even the same — shards concurrently without any
@@ -89,16 +81,6 @@ impl<'a> ShardedPass<'a> {
     /// (zero for an empty family).
     pub fn num_shards(&self) -> usize {
         self.num_shards
-    }
-
-    /// Sets per shard (the last shard may be shorter).
-    pub fn shard_size(&self) -> usize {
-        self.shard_size
-    }
-
-    /// Family size `m` of the underlying repository.
-    pub fn num_sets(&self) -> usize {
-        self.system.num_sets()
     }
 
     /// The items of shard `index`, in repository order, borrowed
@@ -165,7 +147,7 @@ pub enum Claim {
 ///
 /// Workers loop on [`claim`](FeedCursor::claim): `Shard` carries work,
 /// `Retry` means spin (another worker holds every consumer that still
-/// has shards left — the tail of an epoch), `Done` terminates. The
+/// has shards left — the tail of a scan), `Done` terminates. The
 /// cursor is lock-free (per-consumer atomics plus a remaining-unit
 /// counter), so claims cost two atomic operations on the hot path.
 ///
@@ -188,16 +170,6 @@ pub enum Claim {
 /// ```
 #[derive(Debug)]
 pub struct FeedCursor {
-    grid: Grid,
-}
-
-/// The lock-free `(consumer, shard)` claim grid shared by
-/// [`FeedCursor`] (one lane) and [`InterleavedCursor`] (one grid per
-/// attached lane). Both cursors route every claim and completion
-/// through this single implementation, so the per-consumer
-/// exactly-once-in-order invariant is the same object in both modes.
-#[derive(Debug)]
-struct Grid {
     /// `claimed[c]` — consumer `c` is exclusively held by some worker.
     claimed: Vec<AtomicBool>,
     /// `next[c]` — the next shard consumer `c` has not yet observed.
@@ -212,8 +184,9 @@ struct Grid {
     num_shards: usize,
 }
 
-impl Grid {
-    fn new(consumers: usize, num_shards: usize) -> Self {
+impl FeedCursor {
+    /// A cursor over `consumers × num_shards` units, all unclaimed.
+    pub fn new(consumers: usize, num_shards: usize) -> Self {
         Self {
             claimed: (0..consumers).map(|_| AtomicBool::new(false)).collect(),
             next: (0..consumers).map(|_| AtomicUsize::new(0)).collect(),
@@ -223,19 +196,27 @@ impl Grid {
         }
     }
 
-    fn remaining(&self) -> usize {
+    /// `(consumer, shard)` units not yet completed.
+    pub fn remaining(&self) -> usize {
         self.remaining.load(Ordering::Acquire)
     }
 
-    fn abort(&self) {
+    /// Shuts the feed down: every further [`claim`](FeedCursor::claim)
+    /// returns [`Claim::Done`] even though units remain outstanding.
+    ///
+    /// This is the worker pool's panic escape hatch. A worker that
+    /// unwinds mid-unit (a firing `debug_assert`, a poisoned slot)
+    /// leaves its consumer claimed forever; without an abort its
+    /// siblings would spin on [`Claim::Retry`] until the end of time
+    /// and the pool's scope would never unwind to propagate the
+    /// panic. Call it from an unwind guard so the death of one worker
+    /// releases the rest.
+    pub fn abort(&self) {
         self.aborted.store(true, Ordering::Release);
     }
 
-    fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::Acquire)
-    }
-
-    fn claim(&self) -> Claim {
+    /// Claims the next available unit of work (see [`Claim`]).
+    pub fn claim(&self) -> Claim {
         if self.aborted.load(Ordering::Acquire) || self.remaining() == 0 {
             return Claim::Done;
         }
@@ -261,7 +242,15 @@ impl Grid {
         }
     }
 
-    fn complete(&self, consumer: usize, shard: usize) {
+    /// Marks a claimed unit as fed, releasing the consumer for the next
+    /// shard (possibly to another worker).
+    ///
+    /// # Panics
+    ///
+    /// Debug builds assert the unit was the one actually claimed: the
+    /// consumer must be held, `shard` must be its next shard, and the
+    /// feed must have had work remaining.
+    pub fn complete(&self, consumer: usize, shard: usize) {
         debug_assert!(
             self.claimed[consumer].load(Ordering::Acquire),
             "completing a unit of an unclaimed consumer"
@@ -275,227 +264,6 @@ impl Grid {
         self.next[consumer].store(shard + 1, Ordering::Release);
         self.remaining.fetch_sub(1, Ordering::AcqRel);
         self.claimed[consumer].store(false, Ordering::Release);
-    }
-}
-
-impl FeedCursor {
-    /// A cursor over `consumers × num_shards` units, all unclaimed.
-    pub fn new(consumers: usize, num_shards: usize) -> Self {
-        Self {
-            grid: Grid::new(consumers, num_shards),
-        }
-    }
-
-    /// `(consumer, shard)` units not yet completed.
-    pub fn remaining(&self) -> usize {
-        self.grid.remaining()
-    }
-
-    /// Shuts the feed down: every further [`claim`](FeedCursor::claim)
-    /// returns [`Claim::Done`] even though units remain outstanding.
-    ///
-    /// This is the worker pool's panic escape hatch. A worker that
-    /// unwinds mid-unit (a firing `debug_assert`, a poisoned slot)
-    /// leaves its consumer claimed forever; without an abort its
-    /// siblings would spin on [`Claim::Retry`] until the end of time
-    /// and the pool's scope would never unwind to propagate the
-    /// panic. Call it from an unwind guard so the death of one worker
-    /// releases the rest.
-    pub fn abort(&self) {
-        self.grid.abort();
-    }
-
-    /// `true` once [`abort`](FeedCursor::abort) was called — lets a
-    /// driver thread polling [`remaining`](FeedCursor::remaining) for
-    /// the feed's end distinguish a clean drain from a pool that died
-    /// with units outstanding (and stop waiting for them).
-    pub fn is_aborted(&self) -> bool {
-        self.grid.is_aborted()
-    }
-
-    /// Claims the next available unit of work (see [`Claim`]).
-    pub fn claim(&self) -> Claim {
-        self.grid.claim()
-    }
-
-    /// Marks a claimed unit as fed, releasing the consumer for the next
-    /// shard (possibly to another worker).
-    ///
-    /// # Panics
-    ///
-    /// Debug builds assert the unit was the one actually claimed: the
-    /// consumer must be held, `shard` must be its next shard, and the
-    /// feed must have had work remaining.
-    pub fn complete(&self, consumer: usize, shard: usize) {
-        self.grid.complete(consumer, shard);
-    }
-}
-
-/// A multi-lane generalisation of [`FeedCursor`]: one long-lived
-/// work-stealing registry that any number of independent *lanes* (one
-/// per tenant scan epoch, in `sc_service`) attach their `(consumer,
-/// shard)` grids to and detach from dynamically.
-///
-/// Each attached lane gets its own `Grid` — the exact structure
-/// behind [`FeedCursor`] — so the per-lane scheduling semantics are
-/// *identical* to a solo `FeedCursor`: every consumer of a lane
-/// observes every shard of **its own lane's** repository exactly once,
-/// strictly in repository order, with at most one shard in flight per
-/// consumer. What the shared registry adds is visibility: a scheduler
-/// can ask how many units remain across *all* live lanes
-/// ([`remaining`](InterleavedCursor::remaining)) and how many lanes are
-/// currently attached ([`live_lanes`](InterleavedCursor::live_lanes)),
-/// which is what lets a machine-wide arbiter meter shard units across
-/// tenants instead of running one tenant's epoch to completion at a
-/// time.
-///
-/// Aborts are **lane-scoped**: a worker pool that dies aborts only its
-/// own lane's feed. A cross-lane abort would let a healthy lane's
-/// fan-out return normally with an incomplete scan — silently wrong
-/// answers — whereas a lane-scoped abort unwinds exactly the lane that
-/// panicked.
-///
-/// # Examples
-///
-/// ```
-/// use sc_stream::{Claim, InterleavedCursor};
-///
-/// let cursor = InterleavedCursor::new();
-/// let a = cursor.attach(1, 2); // lane a: 1 consumer × 2 shards
-/// let b = cursor.attach(2, 1); // lane b: 2 consumers × 1 shard
-/// assert_eq!(cursor.live_lanes(), 2);
-/// assert_eq!(cursor.remaining(), 4);
-/// while let Claim::Shard { consumer, shard } = a.claim() {
-///     a.complete(consumer, shard);
-/// }
-/// drop(a); // lane detaches; its slot is recycled
-/// assert_eq!(cursor.live_lanes(), 1);
-/// assert_eq!(cursor.remaining(), 2);
-/// drop(b);
-/// assert_eq!(cursor.live_lanes(), 0);
-/// ```
-#[derive(Debug, Default)]
-pub struct InterleavedCursor {
-    /// Slot registry: `Some` while a lane is attached, recycled on
-    /// detach. Locked only on attach/detach (twice per epoch), never
-    /// on the claim/complete hot path.
-    lanes: Mutex<Vec<Option<Arc<Grid>>>>,
-    /// Units not yet completed across all live lanes.
-    remaining_total: AtomicUsize,
-    /// Number of currently attached lanes.
-    live: AtomicUsize,
-}
-
-impl InterleavedCursor {
-    /// An empty registry with no lanes attached.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attaches a fresh lane of `consumers × num_shards` units and
-    /// returns its feed handle. The lane detaches (and its slot is
-    /// recycled) when the handle drops.
-    pub fn attach(&self, consumers: usize, num_shards: usize) -> LaneFeed<'_> {
-        let grid = Arc::new(Grid::new(consumers, num_shards));
-        let mut lanes = self.lanes.lock().expect("lane registry poisoned");
-        let lane = match lanes.iter().position(Option::is_none) {
-            Some(slot) => {
-                lanes[slot] = Some(Arc::clone(&grid));
-                slot
-            }
-            None => {
-                lanes.push(Some(Arc::clone(&grid)));
-                lanes.len() - 1
-            }
-        };
-        self.remaining_total
-            .fetch_add(consumers * num_shards, Ordering::AcqRel);
-        self.live.fetch_add(1, Ordering::AcqRel);
-        LaneFeed {
-            cursor: self,
-            grid,
-            lane,
-        }
-    }
-
-    /// `(consumer, shard)` units not yet completed across all live
-    /// lanes. Units of a lane that detaches early (abort) leave the
-    /// total with it.
-    pub fn remaining(&self) -> usize {
-        self.remaining_total.load(Ordering::Acquire)
-    }
-
-    /// Number of currently attached lanes.
-    pub fn live_lanes(&self) -> usize {
-        self.live.load(Ordering::Acquire)
-    }
-}
-
-/// One lane's feed handle into an [`InterleavedCursor`] — the moral
-/// equivalent of an owned [`FeedCursor`], scoped to the lane's
-/// lifetime. Claims and completions have exactly `FeedCursor`
-/// semantics; [`abort`](LaneFeed::abort) shuts down **this lane
-/// only**. Dropping the handle detaches the lane and returns any
-/// unabsorbed units (an aborted feed) to the registry's books.
-#[derive(Debug)]
-pub struct LaneFeed<'c> {
-    cursor: &'c InterleavedCursor,
-    grid: Arc<Grid>,
-    lane: usize,
-}
-
-impl LaneFeed<'_> {
-    /// The registry slot this lane occupies while attached.
-    pub fn lane(&self) -> usize {
-        self.lane
-    }
-
-    /// `(consumer, shard)` units of **this lane** not yet completed.
-    pub fn remaining(&self) -> usize {
-        self.grid.remaining()
-    }
-
-    /// Shuts down this lane's feed: further claims return
-    /// [`Claim::Done`] with units outstanding. Other lanes are
-    /// untouched — see the type docs for why aborts must not cross
-    /// lanes.
-    pub fn abort(&self) {
-        self.grid.abort();
-    }
-
-    /// `true` once [`abort`](LaneFeed::abort) was called on this lane.
-    pub fn is_aborted(&self) -> bool {
-        self.grid.is_aborted()
-    }
-
-    /// Claims this lane's next available unit (see [`Claim`]).
-    pub fn claim(&self) -> Claim {
-        self.grid.claim()
-    }
-
-    /// Marks a claimed unit of this lane as fed — identical contract
-    /// (and debug assertions) to [`FeedCursor::complete`].
-    pub fn complete(&self, consumer: usize, shard: usize) {
-        self.grid.complete(consumer, shard);
-        self.cursor.remaining_total.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-impl Drop for LaneFeed<'_> {
-    fn drop(&mut self) {
-        let mut lanes = self.cursor.lanes.lock().expect("lane registry poisoned");
-        lanes[self.lane] = None;
-        // An aborted lane detaches with units never completed; take
-        // them off the shared books so the registry total stays the
-        // sum over live lanes.
-        let leftover = self.grid.remaining();
-        drop(lanes);
-        if leftover > 0 {
-            self.cursor
-                .remaining_total
-                .fetch_sub(leftover, Ordering::AcqRel);
-        }
-        self.cursor.live.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -689,107 +457,6 @@ mod tests {
             let expect: Vec<usize> = (0..shards).collect();
             assert_eq!(*log, expect, "in order, exactly once");
         }
-    }
-
-    /// Shard-granular stealing stress across 3 lanes (shard_size=1 —
-    /// every set is its own unit): a pool of workers per lane races
-    /// over a shared registry, and every job must still observe every
-    /// shard of **its own tenant's** repository exactly once, in
-    /// repository order.
-    #[test]
-    fn interleaved_lanes_keep_per_lane_consumer_order() {
-        let cursor = InterleavedCursor::new();
-        // Three lanes of different shapes: (consumers, shards).
-        let shapes = [(3usize, 17usize), (1, 29), (4, 11)];
-        let feeds: Vec<LaneFeed<'_>> = shapes.iter().map(|&(c, s)| cursor.attach(c, s)).collect();
-        assert_eq!(cursor.live_lanes(), 3);
-        assert_eq!(
-            cursor.remaining(),
-            shapes.iter().map(|&(c, s)| c * s).sum::<usize>()
-        );
-        let logs: Vec<Vec<Mutex<Vec<usize>>>> = shapes
-            .iter()
-            .map(|&(c, _)| (0..c).map(|_| Mutex::new(Vec::new())).collect())
-            .collect();
-        std::thread::scope(|s| {
-            for (lane, feed) in feeds.iter().enumerate() {
-                for _ in 0..3 {
-                    let logs = &logs;
-                    s.spawn(move || loop {
-                        match feed.claim() {
-                            Claim::Shard { consumer, shard } => {
-                                logs[lane][consumer].lock().expect("log").push(shard);
-                                feed.complete(consumer, shard);
-                            }
-                            Claim::Retry => std::thread::yield_now(),
-                            Claim::Done => break,
-                        }
-                    });
-                }
-            }
-        });
-        for (lane, &(_, shards)) in shapes.iter().enumerate() {
-            for log in &logs[lane] {
-                let log = log.lock().expect("log");
-                let expect: Vec<usize> = (0..shards).collect();
-                assert_eq!(*log, expect, "lane {lane}: in order, exactly once");
-            }
-        }
-        assert_eq!(cursor.remaining(), 0);
-        drop(feeds);
-        assert_eq!(cursor.live_lanes(), 0);
-    }
-
-    /// Lanes attach and detach dynamically; slots are recycled and the
-    /// registry totals track only live lanes.
-    #[test]
-    fn interleaved_lanes_attach_and_detach_dynamically() {
-        let cursor = InterleavedCursor::new();
-        let a = cursor.attach(2, 3);
-        let b = cursor.attach(1, 5);
-        assert_eq!((a.lane(), b.lane()), (0, 1));
-        assert_eq!(cursor.remaining(), 11);
-        drop(a);
-        assert_eq!(cursor.live_lanes(), 1);
-        assert_eq!(cursor.remaining(), 5, "a detached with all units open");
-        let c = cursor.attach(1, 1);
-        assert_eq!(c.lane(), 0, "detached slot is recycled");
-        assert_eq!(cursor.remaining(), 6);
-        drop((b, c));
-        assert_eq!((cursor.live_lanes(), cursor.remaining()), (0, 0));
-    }
-
-    /// An abort is lane-scoped: the dying lane drains, its siblings
-    /// keep claiming, and its unabsorbed units leave the shared total
-    /// when it detaches.
-    #[test]
-    fn interleaved_abort_is_lane_scoped() {
-        let cursor = InterleavedCursor::new();
-        let sick = cursor.attach(1, 4);
-        let healthy = cursor.attach(1, 2);
-        assert_eq!(
-            sick.claim(),
-            Claim::Shard {
-                consumer: 0,
-                shard: 0
-            }
-        );
-        sick.abort();
-        assert_eq!(sick.claim(), Claim::Done, "aborted lane drains");
-        assert!(sick.is_aborted());
-        assert!(!healthy.is_aborted(), "abort does not cross lanes");
-        assert_eq!(
-            healthy.claim(),
-            Claim::Shard {
-                consumer: 0,
-                shard: 0
-            },
-            "healthy lane keeps feeding"
-        );
-        healthy.complete(0, 0);
-        assert_eq!(cursor.remaining(), 4 + 1);
-        drop(sick);
-        assert_eq!(cursor.remaining(), 1, "abort's leftovers leave with it");
     }
 
     /// The units a concurrent run completes are exactly the full grid.

@@ -59,7 +59,7 @@ const USAGE: &str = "usage:
 
 files: text format everywhere; SCB1 binary is sniffed by magic; use - for stdin (either format)
 serve protocol: one query per line — 'iter [delta=D] [seed=S]', 'partial [eps=E] [delta=D] [seed=S]', 'greedy', each optionally carrying 'repo=NAME' to address a named repository; also ping/quit/shutdown, '!use NAME' (retarget the connection at a named repository), '!repos' (list served repositories with generation/fingerprint/quota/counters), '!reload [NAME] PATH' (hot-swap a repository — the bare form swaps the connection's current one; in-flight queries drain on their generation), and the live telemetry verbs '!stats' (one-line counters + stage percentiles), '!metrics' (Prometheus-style listing), '!trace ID' (one query's journal timeline); responses come back in request order
-serve tenants: the positional <file> is the repository named 'default'; each --repo NAME=PATH adds another; --quota NAME=N caps one repository's inflight slots; --quantum N tunes the cross-tenant fairness gate, which interleaves every granted tenant's scan work shard-by-shard through one work-stealing fan-out
+serve tenants: the positional <file> is the repository named 'default'; each --repo NAME=PATH adds another; --quota NAME=N caps one repository's inflight slots; --quantum N tunes the cross-tenant fairness gate, which meters every tenant's scan work shard by shard
 serve overload: one event-driven thread multiplexes every connection; past --max-conns new connections get 'err msg=busy' and close, a query landing on a full submission queue answers 'err msg=busy' in-line, a request line past the per-session buffer cap answers 'err msg=line_too_long', and --shed DEPTH bounds each session's pipelined replies (beyond it the socket stalls in TCP backpressure); 'sctool client --allow-busy' counts busy answers instead of failing";
 
 fn run(args: &[String]) -> Result<(), String> {
