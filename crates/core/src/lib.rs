@@ -32,7 +32,7 @@ mod projstore;
 pub mod sampling;
 
 pub use iter_set_cover::{GuessExecutor, IterSetCover, IterSetCoverConfig, IterationTrace};
-pub use multiplex::{IterCoverDriver, PartialCoverDriver};
+pub use multiplex::{GuessMemo, IterCoverDriver, PartialCoverDriver};
 pub use partial::{
     coverage_goal, run_partial, PartialChakrabartiWirth, PartialEmekRosen, PartialIterSetCover,
     PartialProgressiveGreedy, PartialReport, PartialStreamingSetCover,

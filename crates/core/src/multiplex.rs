@@ -47,6 +47,27 @@
 //!
 //! [`participants`]: IterCoverDriver::participants
 //!
+//! # Replaying seed-free guesses
+//!
+//! A guess whose sample size `sample_size_for(cfg, k, n, m)` reaches
+//! `n` samples its whole residual in every iteration:
+//! `sample_from_bitset_into` then takes every live element and never
+//! draws from the RNG, so the guess's entire run — cover (or failure),
+//! logical passes, space peak, traces — depends only on the
+//! repository, the configuration without its seed, the coverage goal
+//! and `k`. Such a guess is *memoizable*. A [`GuessMemo`] records the
+//! outcomes of memoizable guesses over one repository, keyed on
+//! (configuration with the seed left out, `goal.allowed`, `k`), and a
+//! driver built with [`IterCoverDriver::replaying`] replays the ones it
+//! already holds instead of recomputing them. A replayed guess keeps
+//! its forked [`SetStream`] and rides its recorded number of scans as
+//! a participant, so physical scans, participants per scan,
+//! [`pass_index`](IterCoverDriver::pass_index), covers, passes and
+//! space peaks stay exactly those of a live run; it just takes no
+//! lane, no solo walk and no between-scan work. The memo lives outside
+//! the space model, like an outcome cache: a replayed guess is charged
+//! its recorded peak, exactly what running it would have charged.
+//!
 //! [`SetStream::absorb_parallel`]: sc_stream::SetStream::absorb_parallel
 //! [`SetStream::shared_pass`]: sc_stream::SetStream::shared_pass
 //! [`SetStream`]: sc_stream::SetStream
@@ -60,8 +81,11 @@ use crate::{IterSetCover, IterSetCoverConfig, IterationTrace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sc_bitset::{BitSet, HeapWords};
+use sc_offline::OfflineSolver;
 use sc_setsystem::{ElemId, SetId};
 use sc_stream::{SetStream, SpaceMeter, Tracked};
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex};
 
 /// What a guess is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -453,6 +477,153 @@ impl<'a> GuessRun<'a> {
         self.result = done.then_some(sol);
         self.phase = Phase::Finished;
     }
+
+    /// `true` when every sample this guess draws is its whole residual,
+    /// so its run never touches the RNG (see the module docs).
+    fn seed_free(&self) -> bool {
+        self.sample_want >= self.universe
+    }
+
+    /// The finished guess's outcome, as a memo records it.
+    fn into_record(self) -> GuessRecord {
+        debug_assert_eq!(self.phase, Phase::Finished);
+        GuessRecord {
+            cover: self.result,
+            passes: self.stream.passes(),
+            peak: self.meter.peak(),
+            traces: self.traces,
+        }
+    }
+}
+
+/// What a guess's outcome depends on once its run is seed-free: every
+/// configuration field the guess machine reads except `seed`, the
+/// residual goal, and `k`. Floats key by their bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct GuessKey {
+    delta: u64,
+    solver: OfflineSolver,
+    sample_constant: u64,
+    paper_constants: bool,
+    final_cleanup_pass: bool,
+    disable_size_test: bool,
+    allowed: usize,
+    k: usize,
+}
+
+impl GuessKey {
+    fn new(cfg: &IterSetCoverConfig, goal: Goal, k: usize) -> Self {
+        Self {
+            delta: cfg.delta.to_bits(),
+            solver: cfg.solver,
+            sample_constant: cfg.sample_constant.to_bits(),
+            paper_constants: cfg.paper_constants,
+            final_cleanup_pass: cfg.final_cleanup_pass,
+            disable_size_test: cfg.disable_size_test,
+            allowed: goal.allowed,
+            k,
+        }
+    }
+}
+
+/// The recorded outcome of one finished guess.
+#[derive(Debug, PartialEq, Eq)]
+struct GuessRecord {
+    /// The emitted cover, or `None` when the guess failed.
+    cover: Option<Vec<SetId>>,
+    /// Logical passes the guess logged.
+    passes: usize,
+    /// The guess's space peak in words.
+    peak: usize,
+    /// The guess's iteration traces.
+    traces: Vec<IterationTrace>,
+}
+
+/// A memoized guess riding its recorded scans: it joins the next
+/// `record.passes` scans on its own forked stream and does nothing
+/// else.
+struct Replay<'a> {
+    k: usize,
+    stream: SetStream<'a>,
+    record: Arc<GuessRecord>,
+    /// Scans ridden so far.
+    rode: usize,
+}
+
+impl Replay<'_> {
+    fn wants_scan(&self) -> bool {
+        self.rode < self.record.passes
+    }
+}
+
+/// The recorded outcomes of seed-free guesses over one repository —
+/// see the module docs for when a guess is memoizable and why a replay
+/// is bit-identical to a live run.
+///
+/// Shared by every driver over the repository that is built with
+/// [`IterCoverDriver::replaying`]: a driver looks its memoizable
+/// guesses up when it spawns them and records the live ones in
+/// [`IterCoverDriver::finish_into`]. Holds at most
+/// [`CAPACITY`](Self::CAPACITY) entries, evicting the oldest first. A
+/// memo is only valid for the repository it was filled from; drop it
+/// with the repository.
+#[derive(Debug, Default)]
+pub struct GuessMemo {
+    entries: Mutex<MemoEntries>,
+}
+
+#[derive(Debug, Default)]
+struct MemoEntries {
+    by_key: HashMap<GuessKey, Arc<GuessRecord>>,
+    /// Keys in insertion order, oldest first.
+    order: VecDeque<GuessKey>,
+}
+
+impl GuessMemo {
+    /// The most entries a memo holds. A query shape (configuration,
+    /// goal) contributes one entry per memoizable guess, about half of
+    /// its `log₂ n + 1` guesses at δ = 0.5.
+    pub const CAPACITY: usize = 1024;
+
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Recorded guesses.
+    pub fn len(&self) -> usize {
+        self.lock().by_key.len()
+    }
+
+    /// `true` when nothing is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, MemoEntries> {
+        self.entries.lock().expect("guess memo poisoned")
+    }
+
+    fn get(&self, key: &GuessKey) -> Option<Arc<GuessRecord>> {
+        self.lock().by_key.get(key).cloned()
+    }
+
+    /// Records a live guess's outcome. A key already present keeps its
+    /// entry; in a debug build the two outcomes must agree, which
+    /// checks the seed-free claim on every repeat.
+    fn insert(&self, key: GuessKey, record: Arc<GuessRecord>) {
+        let mut entries = self.lock();
+        if let Some(stored) = entries.by_key.get(&key) {
+            debug_assert_eq!(**stored, *record, "a seed-free guess diverged: {key:?}");
+            return;
+        }
+        if entries.order.len() == Self::CAPACITY {
+            let oldest = entries.order.pop_front().expect("memo at capacity");
+            entries.by_key.remove(&oldest);
+        }
+        entries.order.push_back(key);
+        entries.by_key.insert(key, record);
+    }
 }
 
 /// The multi-guess pass machine behind [`GuessExecutor::Multiplexed`](crate::GuessExecutor),
@@ -494,8 +665,27 @@ impl<'a> GuessRun<'a> {
 /// `L` bitmaps in transposed order, so it adds nothing to the model's
 /// space accounting: it is the simulation's layout of the parallel
 /// branches' state, not a new algorithmic store.
+///
+/// # Replay
+///
+/// A driver built with [`replaying`](Self::replaying) shares a
+/// [`GuessMemo`] with the other drivers over its repository. Each
+/// memoizable guess — one with `sample_size_for(cfg, k, n, m) ≥ n`,
+/// whose run never draws from the RNG — that the memo already holds is
+/// replayed: it rides its recorded number of scans as a participant
+/// and contributes its recorded cover, passes, space peak and traces
+/// to [`finish_into`](Self::finish_into), which records the live
+/// memoizable guesses in turn. Every observable stays bit-identical
+/// to a memo-less run. The memo sits outside the space model: a
+/// replayed guess is charged the peak its live run measured.
+/// [`new`](Self::new) and [`partial`](Self::partial) build memo-less
+/// drivers.
 pub struct IterCoverDriver<'a> {
     guesses: Vec<GuessRun<'a>>,
+    /// Memoized guesses riding their recorded scans, in guess order.
+    replays: Vec<Replay<'a>>,
+    /// Where live memoizable guesses are recorded at finish.
+    memo: Option<&'a GuessMemo>,
     /// Guesses joining the current scan (indices into `guesses`),
     /// rebuilt by [`begin_scan`](Self::begin_scan).
     scanning: Vec<usize>,
@@ -517,7 +707,7 @@ impl<'a> IterCoverDriver<'a> {
     /// and meters from `stream` / `meter` (the query's parent handles,
     /// absorbed back by [`finish_into`](Self::finish_into)).
     pub fn new(cfg: &IterSetCoverConfig, stream: &SetStream<'a>, meter: &SpaceMeter) -> Self {
-        Self::with_goal(cfg, Goal::FULL, stream, meter)
+        Self::with_goal(cfg, Goal::FULL, stream, meter, None)
     }
 
     /// Spawns the guess machines of an ε-partial query that must cover
@@ -533,7 +723,29 @@ impl<'a> IterCoverDriver<'a> {
         meter: &SpaceMeter,
     ) -> Self {
         let (cfg, goal) = partial_setup(cfg, stream.universe(), required);
-        Self::with_goal(&cfg, goal, stream, meter)
+        Self::with_goal(&cfg, goal, stream, meter, None)
+    }
+
+    /// [`new`](Self::new) (`required == None`) or
+    /// [`partial`](Self::partial) (`Some(required)`) over a shared
+    /// [`GuessMemo`] of `stream`'s repository: memoizable guesses the
+    /// memo holds are replayed, and the live ones are recorded at
+    /// [`finish_into`](Self::finish_into). Bit-identical to the
+    /// memo-less driver.
+    pub fn replaying(
+        cfg: &IterSetCoverConfig,
+        required: Option<usize>,
+        stream: &SetStream<'a>,
+        meter: &SpaceMeter,
+        memo: &'a GuessMemo,
+    ) -> Self {
+        match required {
+            None => Self::with_goal(cfg, Goal::FULL, stream, meter, Some(memo)),
+            Some(required) => {
+                let (cfg, goal) = partial_setup(cfg, stream.universe(), required);
+                Self::with_goal(&cfg, goal, stream, meter, Some(memo))
+            }
+        }
     }
 
     /// All guesses k = 2^i, 0 ≤ i ≤ log n, "in parallel" (Fig 1.3). A
@@ -545,14 +757,27 @@ impl<'a> IterCoverDriver<'a> {
         goal: Goal,
         stream: &SetStream<'a>,
         meter: &SpaceMeter,
+        memo: Option<&'a GuessMemo>,
     ) -> Self {
-        let n = stream.universe();
+        let (n, m) = (stream.universe(), stream.num_sets());
         let mut guesses = Vec::new();
+        let mut replays = Vec::new();
         if !goal.met(n) {
             let mut i = 0u32;
             loop {
                 let k = 1usize << i;
-                guesses.push(GuessRun::new(cfg, goal, k, stream, meter));
+                let recorded = memo
+                    .filter(|_| sample_size_for(cfg, k, n, m) >= n)
+                    .and_then(|memo| memo.get(&GuessKey::new(cfg, goal, k)));
+                match recorded {
+                    Some(record) => replays.push(Replay {
+                        k,
+                        stream: stream.fork(),
+                        record,
+                        rode: 0,
+                    }),
+                    None => guesses.push(GuessRun::new(cfg, goal, k, stream, meter)),
+                }
                 if k >= n {
                     break;
                 }
@@ -562,6 +787,8 @@ impl<'a> IterCoverDriver<'a> {
         Self {
             sample_mask: vec![0; if guesses.is_empty() { 0 } else { n }],
             guesses,
+            replays,
+            memo,
             scanning: Vec::new(),
             finished_scans: 0,
             lane_hits: Vec::new(),
@@ -574,7 +801,12 @@ impl<'a> IterCoverDriver<'a> {
     /// Every scan the driver joins must include every guess that wants
     /// one, so physical scans = max logical passes.
     pub fn wants_scan(&self) -> bool {
-        self.guesses.iter().any(GuessRun::wants_scan)
+        self.guesses.iter().any(GuessRun::wants_scan) || self.replays.iter().any(Replay::wants_scan)
+    }
+
+    /// Guesses this driver replays from its memo instead of running.
+    pub fn replayed_guesses(&self) -> usize {
+        self.replays.len()
     }
 
     /// The 1-based index of the logical pass the query needs next — the
@@ -610,7 +842,7 @@ impl<'a> IterCoverDriver<'a> {
             }
             self.scanning.push(g);
         }
-        debug_assert!(!self.scanning.is_empty(), "begin_scan on a finished driver");
+        debug_assert!(self.wants_scan(), "begin_scan on a finished driver");
         if self.lanes.len() < 2 {
             let lone = self.lanes.drain(..).map(|(g, _)| g);
             self.solo.extend(lone);
@@ -645,15 +877,15 @@ impl<'a> IterCoverDriver<'a> {
         }
     }
 
-    /// The forked streams of the guesses joining the current scan, in
-    /// guess order — hand these to [`SetStream::shared_pass`] (or
-    /// [`sc_stream::ScanLedger::scan`]) so each logs its logical pass.
-    /// Valid after [`begin_scan`](Self::begin_scan).
+    /// The forked streams of the guesses joining the current scan, the
+    /// live ones first, then the replayed ones — hand these to
+    /// [`SetStream::shared_pass`] (or [`sc_stream::ScanLedger::scan`])
+    /// so each logs its logical pass. Valid after
+    /// [`begin_scan`](Self::begin_scan).
     pub fn participants(&self) -> Vec<&SetStream<'a>> {
-        self.scanning
-            .iter()
-            .map(|&g| &self.guesses[g].stream)
-            .collect()
+        let live = self.scanning.iter().map(|&g| &self.guesses[g].stream);
+        let replayed = self.replays.iter().filter(|r| r.wants_scan());
+        live.chain(replayed.map(|r| &r.stream)).collect()
     }
 
     /// Feeds a run of stream items to every participating guess — one
@@ -662,6 +894,9 @@ impl<'a> IterCoverDriver<'a> {
     /// order across the calls of one scan; feeding a scan as
     /// consecutive shard iterators satisfies that.
     pub fn absorb_items(&mut self, items: impl IntoIterator<Item = (SetId, &'a [ElemId])>) {
+        if self.lanes.is_empty() && self.solo.is_empty() {
+            return; // only replays ride this scan
+        }
         for (id, elems) in items {
             self.absorb(id, elems);
         }
@@ -726,6 +961,9 @@ impl<'a> IterCoverDriver<'a> {
         for &g in &self.scanning {
             self.guesses[g].end_scan();
         }
+        for replay in self.replays.iter_mut().filter(|r| r.wants_scan()) {
+            replay.rode += 1;
+        }
         self.finished_scans += 1;
     }
 
@@ -733,30 +971,48 @@ impl<'a> IterCoverDriver<'a> {
     /// does and absorbs their pass counts (max) and space peaks (sum)
     /// into the parent stream and meter the driver was created from.
     /// Returns the best cover and the concatenated iteration traces.
+    /// A replaying driver also records its live memoizable guesses.
     ///
     /// Merge order is guess order (`k` ascending, matching the
-    /// sequential paths): traces concatenate to the identical sequence,
-    /// and ties in the best-cover comparison resolve identically (the
-    /// first minimal cover wins).
+    /// sequential paths), live and replayed guesses alike: traces
+    /// concatenate to the identical sequence, and ties in the
+    /// best-cover comparison resolve identically (the first minimal
+    /// cover wins).
     pub fn finish_into(
         self,
         stream: &SetStream<'a>,
         meter: &SpaceMeter,
     ) -> (Vec<SetId>, Vec<IterationTrace>) {
-        stream.absorb_parallel(self.guesses.iter().map(|g| g.stream.passes()));
-        meter.absorb_parallel(self.guesses.iter().map(|g| g.meter.peak()));
-        let mut best: Option<Vec<SetId>> = None;
-        let mut traces = Vec::new();
+        let mut records = Vec::with_capacity(self.guesses.len() + self.replays.len());
         for guess in self.guesses {
-            debug_assert_eq!(guess.phase, Phase::Finished);
-            traces.extend(guess.traces);
-            if let Some(sol) = guess.result {
-                if best.as_ref().is_none_or(|b| sol.len() < b.len()) {
+            let key = guess
+                .seed_free()
+                .then(|| GuessKey::new(&guess.cfg, guess.goal, guess.k));
+            let k = guess.k;
+            let record = Arc::new(guess.into_record());
+            if let (Some(memo), Some(key)) = (self.memo, key) {
+                memo.insert(key, Arc::clone(&record));
+            }
+            records.push((k, record));
+        }
+        for replay in self.replays {
+            debug_assert_eq!(replay.stream.passes(), replay.record.passes);
+            records.push((replay.k, replay.record));
+        }
+        records.sort_unstable_by_key(|&(k, _)| k);
+        stream.absorb_parallel(records.iter().map(|(_, r)| r.passes));
+        meter.absorb_parallel(records.iter().map(|(_, r)| r.peak));
+        let mut best: Option<&[SetId]> = None;
+        let mut traces = Vec::new();
+        for (_, record) in &records {
+            traces.extend_from_slice(&record.traces);
+            if let Some(sol) = &record.cover {
+                if best.is_none_or(|b| sol.len() < b.len()) {
                     best = Some(sol);
                 }
             }
         }
-        (best.unwrap_or_default(), traces)
+        (best.map(<[SetId]>::to_vec).unwrap_or_default(), traces)
     }
 }
 
@@ -764,7 +1020,7 @@ impl<'a> IterCoverDriver<'a> {
 /// shared physical scans: a newtype over [`IterCoverDriver::partial`]
 /// whose [`finish_into`](Self::finish_into) returns the cover alone.
 /// It stays only because servebench's solo-replay oracle calls it; the
-/// service builds its partial jobs on [`IterCoverDriver::partial`].
+/// service builds its partial jobs on [`IterCoverDriver::replaying`].
 ///
 /// Of [`IterSetCoverConfig`], the fields that apply are `delta`,
 /// `seed`, `sample_constant` and `paper_constants`. The partial variant
@@ -903,6 +1159,167 @@ mod tests {
             drops += drive_and_check(partial, &root);
         }
         assert!(drops > 0, "some guess finishes before the last scan");
+    }
+
+    /// Everything a driver run shows the outside: per scan its pass
+    /// index and participant count, then the merged cover, traces,
+    /// parent passes and parent meter peak.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        scans: Vec<(usize, usize)>,
+        cover: Vec<SetId>,
+        traces: Vec<IterationTrace>,
+        passes: usize,
+        peak: usize,
+    }
+
+    fn observe<'a>(
+        mut driver: IterCoverDriver<'a>,
+        root: &SetStream<'a>,
+        meter: &SpaceMeter,
+    ) -> Observed {
+        let mut scans = Vec::new();
+        while driver.wants_scan() {
+            driver.begin_scan();
+            scans.push((driver.pass_index(), driver.participants().len()));
+            driver.absorb_items(root.shared_pass(&driver.participants()));
+            driver.end_scan();
+        }
+        let parent = root.fork();
+        let (cover, traces) = driver.finish_into(&parent, meter);
+        Observed {
+            scans,
+            cover,
+            traces,
+            passes: parent.passes(),
+            peak: meter.peak(),
+        }
+    }
+
+    /// `None` = full cover, `Some(ε)` = ε-partial.
+    fn spawn<'a>(
+        cfg: &IterSetCoverConfig,
+        epsilon: Option<f64>,
+        root: &SetStream<'a>,
+        meter: &SpaceMeter,
+        memo: Option<&'a GuessMemo>,
+    ) -> IterCoverDriver<'a> {
+        let required = epsilon.map(|eps| crate::coverage_goal(root.universe(), eps));
+        match (memo, required) {
+            (Some(memo), required) => IterCoverDriver::replaying(cfg, required, root, meter, memo),
+            (None, None) => IterCoverDriver::new(cfg, root, meter),
+            (None, Some(required)) => IterCoverDriver::partial(cfg, required, root, meter),
+        }
+    }
+
+    #[test]
+    fn replaying_drivers_equal_memo_less_ones() {
+        for (inst_seed, (n, m, k)) in [(3, (256, 512, 8)), (5, (300, 450, 12))] {
+            let inst = gen::planted(n, m, k, inst_seed);
+            let root = SetStream::new(&inst.system);
+            let memo = GuessMemo::new();
+            let mut replayed = 0;
+            for delta in [0.25, 0.5, 1.0] {
+                for epsilon in [None, Some(0.05), Some(0.1)] {
+                    for seed in 0..6u64 {
+                        let cfg = IterSetCoverConfig {
+                            delta,
+                            seed: seed * 7919 + 1,
+                            ..Default::default()
+                        };
+                        let label = format!("n={n} δ={delta} ε={epsilon:?} seed={seed}");
+                        let (a, b) = (SpaceMeter::new(), SpaceMeter::new());
+                        let solo = observe(spawn(&cfg, epsilon, &root, &a, None), &root, &a);
+                        let driver = spawn(&cfg, epsilon, &root, &b, Some(&memo));
+                        let replays = driver.replayed_guesses();
+                        if seed > 0 && delta == 1.0 {
+                            // Every guess samples its whole residual at δ = 1.
+                            assert!(driver.guesses.is_empty() && replays > 0, "{label}");
+                        }
+                        replayed += replays;
+                        assert_eq!(observe(driver, &root, &b), solo, "{label}");
+                    }
+                }
+            }
+            assert!(replayed > 0, "n={n}: some guess was replayed");
+        }
+    }
+
+    #[test]
+    fn concurrent_live_runs_of_one_guess_record_it_once() {
+        let inst = gen::planted(256, 512, 8, 7);
+        let root = SetStream::new(&inst.system);
+        let memo = GuessMemo::new();
+        let cfg = |seed| IterSetCoverConfig {
+            seed,
+            ..Default::default()
+        };
+        let (a, b) = (SpaceMeter::new(), SpaceMeter::new());
+        // Both spawn before either finishes: both run every guess live,
+        // and the second finish re-inserts (and, in debug, re-checks)
+        // every seed-free key the first recorded.
+        let first = spawn(&cfg(1), None, &root, &a, Some(&memo));
+        let second = spawn(&cfg(2), None, &root, &b, Some(&memo));
+        assert_eq!(first.replayed_guesses() + second.replayed_guesses(), 0);
+        observe(first, &root, &a);
+        let recorded = memo.len();
+        assert!(recorded > 0);
+        observe(second, &root, &b);
+        assert_eq!(memo.len(), recorded, "same keys, no second entry");
+    }
+
+    #[test]
+    fn only_seed_free_guesses_enter_the_memo() {
+        let inst = gen::planted(512, 1024, 16, 9);
+        let root = SetStream::new(&inst.system);
+        let (n, m) = (root.universe(), root.num_sets());
+        let memo = GuessMemo::new();
+        for delta in [0.25, 0.5, 0.75, 1.0] {
+            for epsilon in [None, Some(0.1)] {
+                let cfg = IterSetCoverConfig {
+                    delta,
+                    ..Default::default()
+                };
+                let meter = SpaceMeter::new();
+                observe(
+                    spawn(&cfg, epsilon, &root, &meter, Some(&memo)),
+                    &root,
+                    &meter,
+                );
+            }
+        }
+        let entries = memo.lock();
+        assert!(!entries.by_key.is_empty());
+        for key in entries.by_key.keys() {
+            let cfg = IterSetCoverConfig {
+                delta: f64::from_bits(key.delta),
+                ..Default::default()
+            };
+            assert!(sample_size_for(&cfg, key.k, n, m) >= n, "{key:?}");
+        }
+        // δ = 0.25 at n = 512: n^δ ≈ 4.8, so only k ≥ 107 are seed-free.
+        assert!(entries
+            .by_key
+            .keys()
+            .all(|key| key.k >= 128 || f64::from_bits(key.delta) > 0.25));
+    }
+
+    #[test]
+    fn the_memo_holds_at_most_its_capacity_oldest_out_first() {
+        let memo = GuessMemo::new();
+        let record = Arc::new(GuessRecord {
+            cover: None,
+            passes: 1,
+            peak: 0,
+            traces: Vec::new(),
+        });
+        let key = |k| GuessKey::new(&IterSetCoverConfig::default(), Goal::FULL, k);
+        for k in 0..GuessMemo::CAPACITY + 10 {
+            memo.insert(key(k), Arc::clone(&record));
+        }
+        assert_eq!(memo.len(), GuessMemo::CAPACITY);
+        assert!(memo.get(&key(9)).is_none(), "the oldest went first");
+        assert!(memo.get(&key(10)).is_some());
     }
 
     #[test]

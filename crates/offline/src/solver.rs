@@ -23,7 +23,7 @@ impl std::error::Error for Infeasible {}
 ///
 /// `iterSetCover` and `algGeomSC` are parameterised by this choice; the
 /// benchmarks run both to populate the ρ-dependent rows of Figure 1.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OfflineSolver {
     /// Lazy greedy: ρ = ln n + 1, polynomial time.
     Greedy,

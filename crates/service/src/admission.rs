@@ -325,7 +325,7 @@ impl Service {
     /// committed to an in-flight scan.
     pub(crate) fn admit_or_answer<'g>(
         &self,
-        gen: &RepositoryGeneration,
+        gen: &'g RepositoryGeneration,
         sub: QuerySubmission,
         root: &SetStream<'g>,
         inflight: &mut [Inflight<'g>],
@@ -342,7 +342,7 @@ impl Service {
         Admitted::Job(Inflight {
             id: sub.id,
             spec: sub.spec,
-            job: make_job(&sub.spec, root),
+            job: make_job(&sub.spec, gen, root),
             submitted: sub.submitted,
             admitted: at,
             reply: sub.reply,
@@ -613,7 +613,7 @@ mod tests {
         let mut inflight = vec![Inflight {
             id: leader.id,
             spec: leader.spec,
-            job: make_job(&leader.spec, &root),
+            job: make_job(&leader.spec, &gen, &root),
             submitted: leader.submitted,
             admitted: Instant::now(),
             reply: leader.reply,

@@ -9,8 +9,8 @@
 //! logical pass without a second physical walk. This module owns the
 //! plan: which queued query splices into which scan, tagged by pass
 //! index on both sides ([`CoverJob::next_pass`](crate::job::CoverJob)
-//! on the query, [`ScanLedger::scan_index`](sc_stream::ScanLedger) on
-//! the scan). A fresh joiner's pass 1 aligns with whatever pass the
+//! on the query, [`ScanLedger::physical_scans`](sc_stream::ScanLedger::physical_scans)
+//! on the scan). A fresh joiner's pass 1 aligns with whatever pass the
 //! group's current scan is — pass-2 joins pass-2 — so a query no
 //! longer waits out an epoch (or, under a blocking window, the whole
 //! group) to start.
@@ -81,7 +81,7 @@ impl<'a> EpochState<'a> {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn splice_pending<'g>(
     service: &Service,
-    gen: &RepositoryGeneration,
+    gen: &'g RepositoryGeneration,
     root: &SetStream<'g>,
     ledger: &ScanLedger,
     feed: &ShardedPass<'g>,

@@ -8,9 +8,13 @@
 //! [`SetStream`] (its logical pass meter) and a private [`SpaceMeter`],
 //! so its measured passes and space are *identical* to the same query
 //! run solo — the `service_equivalence` integration test pins this for
-//! all three query kinds.
+//! all three query kinds. `iterSetCover` jobs replay the seed-free
+//! guesses their generation's [`GuessMemo`](sc_core::GuessMemo)
+//! already holds (see [`sc_core::multiplex`]), which changes none of
+//! those observables.
 
 use crate::query::QuerySpec;
+use crate::tenants::{LedgerEvent, RepositoryGeneration};
 use sc_core::baselines::greedy_over_stored;
 use sc_core::partial::coverage_goal;
 use sc_core::{IterCoverDriver, IterSetCoverConfig};
@@ -69,9 +73,15 @@ pub(crate) trait CoverJob<'a>: Send {
     fn finish(self: Box<Self>) -> JobResult;
 }
 
-/// Builds the machine for one query spec, forking the query's pass
-/// meter off `root`.
-pub(crate) fn make_job<'a>(spec: &QuerySpec, root: &SetStream<'a>) -> Box<dyn CoverJob<'a> + 'a> {
+/// Builds the machine for one query spec over generation `gen`,
+/// forking the query's pass meter off `root` (a stream over
+/// `gen.system`). An `iterSetCover` job replays from `gen.memo`; each
+/// replayed guess counts one [`LedgerEvent::GuessReplay`].
+pub(crate) fn make_job<'a>(
+    spec: &QuerySpec,
+    gen: &'a RepositoryGeneration,
+    root: &SetStream<'a>,
+) -> Box<dyn CoverJob<'a> + 'a> {
     let (delta, seed, epsilon) = match *spec {
         QuerySpec::IterCover { delta, seed } => (delta, seed, None),
         QuerySpec::PartialCover {
@@ -89,14 +99,13 @@ pub(crate) fn make_job<'a>(spec: &QuerySpec, root: &SetStream<'a>) -> Box<dyn Co
     let parent = root.fork();
     let meter = SpaceMeter::new();
     let n = parent.universe();
-    let (driver, required) = match epsilon {
-        None => (IterCoverDriver::new(&cfg, &parent, &meter), n),
-        Some(epsilon) => {
-            let required = coverage_goal(n, epsilon);
-            let driver = IterCoverDriver::partial(&cfg, required, &parent, &meter);
-            (driver, required)
-        }
-    };
+    let partial = epsilon.map(|epsilon| coverage_goal(n, epsilon));
+    let driver = IterCoverDriver::replaying(&cfg, partial, &parent, &meter, &gen.memo);
+    let replayed = driver.replayed_guesses() as u64;
+    gen.tenant
+        .counters()
+        .add(LedgerEvent::GuessReplay, replayed);
+    let required = partial.unwrap_or(n);
     Box::new(IterJob {
         parent,
         meter,

@@ -28,7 +28,7 @@
 //! | 2 alignment | `alignment` | pass-indexed join planning: which queued query splices into which in-flight scan (pass-2 joins pass-2), the splice itself (ledger join + zero-copy replay), the admission window |
 //! | 3 execution | `execution` | the sharded work-stealing fan-out ([`sc_stream::ShardedPass`] through the scan's own [`sc_stream::FeedCursor`], one gate unit per absorbed shard; lanes run their scans concurrently and share only the gate; a batch is one lane), scan boundary included (the worker that absorbs a job's last shard runs its `end_scan`), with the lane thread as one of the workers draining arrivals between its claims (non-blocking accept) |
 //! | 4 retirement | `retirement` | outcome construction (tenant- and generation-tagged), cache fill + eviction accounting, reply fan-out to the query and its coalesced followers |
-//! |  lifecycle | `tenants` | [`TenantRegistry`] / [`Tenant`] / [`RepositoryGeneration`]: named repositories, each a fingerprint-versioned generation chain behind its own hot swap, with per-tenant quotas and counters |
+//! |  lifecycle | `tenants` | [`TenantRegistry`] / [`Tenant`] / [`RepositoryGeneration`]: named repositories, each a fingerprint-versioned generation chain behind its own hot swap, with per-tenant quotas and counters; each generation owns the guess memo its jobs replay from |
 //! |  fairness | `fairness` | the deficit-round-robin gate arbitrating tenant lanes' scan work per `(tenant, shard)` unit — a hot tenant cannot starve a cold one |
 //!
 //! `service` orchestrates the stages (the one lane loop both entry
@@ -91,6 +91,18 @@
 //!   services keeps repositories apart through the content
 //!   fingerprint in the key plus a per-hit dimension cross-check (see
 //!   [`OutcomeCache`] for the collision caveat).
+//! * **The guess memo** — a seed-free `iterSetCover` guess (its
+//!   sample `sample_size_for(cfg, k, n, m)` reaches `n`, so it never
+//!   draws from its RNG) has the same outcome in every query with the
+//!   same δ and goal. Each [`RepositoryGeneration`] owns a bounded
+//!   [`GuessMemo`](sc_core::GuessMemo) of these outcomes, and `make_job`
+//!   builds every `iterSetCover` job on
+//!   [`IterCoverDriver::replaying`](sc_core::IterCoverDriver::replaying):
+//!   the guesses the memo holds ride their recorded scans and do no
+//!   other work, so answers, passes, space and physical scans are
+//!   unchanged ([`LedgerEvent::GuessReplay`] counts the replays). A
+//!   reload starts an empty memo; like the outcome cache, the memo sits
+//!   outside the per-query space model.
 //! * **One ledger, one histogram** — every query-lifecycle event is
 //!   counted once, in its tenant's ledger ([`TenantCounters`], one
 //!   [`LedgerEvent`] per count); a run's [`ServiceMetrics`] counts are

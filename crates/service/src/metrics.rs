@@ -7,7 +7,7 @@ use std::time::Duration;
 
 /// Aggregate counters of one service run.
 ///
-/// The query counts (`queries_completed` through `shard_grants`) are
+/// The query counts (`queries_completed` through `guess_replays`) are
 /// the growth of the tenant's query ledger
 /// ([`TenantCounters`](crate::TenantCounters), one
 /// [`LedgerEvent`] per count) across the run: every lane reads its
@@ -82,6 +82,10 @@ pub struct ServiceMetrics {
     /// alike. Zero only when nothing was scanned (all cache hits).
     /// Ledger delta of [`LedgerEvent::ShardGrant`].
     pub shard_grants: usize,
+    /// Seed-free guesses jobs replayed from their generation's guess
+    /// memo instead of running them (ledger delta of
+    /// [`LedgerEvent::GuessReplay`]).
+    pub guess_replays: usize,
     /// Submission → admission wait, one observation per query.
     pub queue_wait: HistogramSnapshot,
     /// Submission → completion latency, one observation per query.
@@ -112,6 +116,7 @@ impl ServiceMetrics {
         self.cache_misses += other.cache_misses;
         self.coalesced += other.coalesced;
         self.shard_grants += other.shard_grants;
+        self.guess_replays += other.guess_replays;
         self.queue_wait.merge(&other.queue_wait);
         self.latency.merge(&other.latency);
         self.elapsed = self.elapsed.max(other.elapsed);
@@ -143,6 +148,7 @@ impl ServiceMetrics {
         self.cache_misses = grew(LedgerEvent::CacheMiss);
         self.coalesced = grew(LedgerEvent::Coalesced);
         self.shard_grants = grew(LedgerEvent::ShardGrant);
+        self.guess_replays = grew(LedgerEvent::GuessReplay);
     }
 }
 
@@ -188,10 +194,12 @@ mod tests {
         after[LedgerEvent::Completed as usize] = 8;
         after[LedgerEvent::CapacityEviction as usize] = 2;
         after[LedgerEvent::ReloadEviction as usize] = 1;
+        after[LedgerEvent::GuessReplay as usize] = 6;
         let mut m = ServiceMetrics::default();
         m.count_ledger(&before, &after, EvictionPolicy::Lru);
         assert_eq!(m.queries_completed, 3);
         assert_eq!((m.evictions, m.lru_evictions, m.fifo_evictions), (3, 2, 0));
         assert_eq!(m.reload_evictions, 1);
+        assert_eq!(m.guess_replays, 6);
     }
 }

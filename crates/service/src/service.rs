@@ -897,7 +897,7 @@ impl Service {
                         EventKind::Admitted,
                         fl.id,
                         gen.id,
-                        ledger.scan_index() as u64,
+                        ledger.physical_scans() as u64,
                         state.group_pass as u32,
                     );
                     state.inflight.push(fl);
@@ -963,7 +963,7 @@ impl Service {
     #[allow(clippy::too_many_arguments)]
     fn epoch<'g>(
         &self,
-        gen: &RepositoryGeneration,
+        gen: &'g RepositoryGeneration,
         root: &SetStream<'g>,
         ledger: &ScanLedger,
         state: &mut EpochState<'g>,
@@ -995,7 +995,7 @@ impl Service {
                     EventKind::EpochScan,
                     fl.id,
                     gen.id,
-                    ledger.scan_index() as u64,
+                    ledger.physical_scans() as u64,
                     state.group_pass as u32,
                 );
             }
@@ -1014,7 +1014,7 @@ impl Service {
         // only retirement on this same thread can insert, so it stays
         // a miss until the splice probes once more at the boundary
         // (covering the shared-cache twin case).
-        let scan_tag = ledger.scan_index();
+        let scan_tag = ledger.physical_scans();
         let mut pending = Vec::new();
         {
             let _span = tel().stage_execution.span();

@@ -24,6 +24,7 @@
 //! reaps them eagerly on swap.
 
 use crate::cache::OutcomeCache;
+use sc_core::GuessMemo;
 use sc_setsystem::SetSystem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -58,11 +59,14 @@ pub enum LedgerEvent {
     CapacityEviction,
     /// Outcome-cache entries reaped with a generation a reload retired.
     ReloadEviction,
+    /// A seed-free guess replayed from the generation's guess memo
+    /// instead of run (counted per guess, when its job is built).
+    GuessReplay,
 }
 
 impl LedgerEvent {
     /// Every event, in ledger order.
-    pub(crate) const ALL: [LedgerEvent; 12] = [
+    pub(crate) const ALL: [LedgerEvent; 13] = [
         LedgerEvent::Submitted,
         LedgerEvent::Completed,
         LedgerEvent::Job,
@@ -75,6 +79,7 @@ impl LedgerEvent {
         LedgerEvent::Reload,
         LedgerEvent::CapacityEviction,
         LedgerEvent::ReloadEviction,
+        LedgerEvent::GuessReplay,
     ];
 
     /// The exposition name of the event's counter (`!stats` sums it
@@ -93,6 +98,7 @@ impl LedgerEvent {
             LedgerEvent::Reload => "sc_reloads_total",
             LedgerEvent::CapacityEviction => "sc_capacity_evictions_total",
             LedgerEvent::ReloadEviction => "sc_reload_evictions_total",
+            LedgerEvent::GuessReplay => "sc_guess_replays_total",
         }
     }
 }
@@ -225,6 +231,12 @@ pub struct RepositoryGeneration {
     /// `(tenant, generation)`, and the pipeline stages read quota,
     /// cache partition, and counters from here.
     pub tenant: Arc<TenantMeta>,
+    /// The recorded seed-free `iterSetCover` guesses over this
+    /// repository, which its jobs replay instead of recomputing. Every
+    /// generation starts with an empty memo and frees it with the
+    /// generation; it sits outside the per-query space model, like the
+    /// outcome cache.
+    pub memo: GuessMemo,
 }
 
 /// The hot-swappable owner of one tenant's repository generations.
@@ -244,6 +256,7 @@ impl RepositoryStore {
                 system,
                 fingerprint,
                 tenant,
+                memo: GuessMemo::new(),
             })),
         }
     }
@@ -268,6 +281,7 @@ impl RepositoryStore {
             system,
             fingerprint,
             tenant: Arc::clone(&current.tenant),
+            memo: GuessMemo::new(),
         });
         std::mem::replace(&mut *current, fresh)
     }

@@ -69,19 +69,15 @@ impl ScanLedger {
         Self::default()
     }
 
-    /// Number of physical scans performed through this ledger.
-    pub fn physical_scans(&self) -> usize {
-        self.physical.get()
-    }
-
-    /// The 1-based pass index of the scan most recently started through
-    /// this ledger — the tag a scheduler aligns joiners against (`0`
+    /// Number of physical scans performed through this ledger — which
+    /// is also the 1-based index of the scan most recently started
+    /// through it, the tag a scheduler aligns joiners against (`0`
     /// before any scan). Every scan of an immutable repository yields
     /// the same item sequence, so *which* index a joiner splices into
     /// never changes what it observes; the tag exists so the scheduler
     /// can record (and tests can pin) that a splice landed on the scan
     /// it planned for.
-    pub fn scan_index(&self) -> usize {
+    pub fn physical_scans(&self) -> usize {
         self.physical.get()
     }
 
@@ -112,9 +108,9 @@ impl ScanLedger {
     /// physical count stays untouched — the walk already happened (or
     /// is in flight), and the driver replays its items to the joiners
     /// through [`ShardedPass::replay`], so the hardware pays nothing
-    /// extra. Returns the [`scan_index`](ScanLedger::scan_index) of the
-    /// scan joined, so the caller can tag the splice with the pass it
-    /// aligned to.
+    /// extra. Returns the index of the scan joined (its
+    /// [`physical_scans`](ScanLedger::physical_scans) count), so the
+    /// caller can tag the splice with the pass it aligned to.
     ///
     /// # Panics
     ///
@@ -148,11 +144,11 @@ mod tests {
         let queries: Vec<SetStream> = (0..8).map(|_| root.fork()).collect();
         let ledger = ScanLedger::new();
         let participants: Vec<&SetStream> = queries.iter().collect();
-        assert_eq!(ledger.scan_index(), 0, "no scan tagged yet");
+        assert_eq!(ledger.physical_scans(), 0, "no scan tagged yet");
         for s in 0..3 {
             let items: Vec<_> = ledger.scan(&root, &participants, 2).replay().collect();
             assert_eq!(items.len(), 3);
-            assert_eq!(ledger.scan_index(), s + 1, "scans are pass-tagged");
+            assert_eq!(ledger.physical_scans(), s + 1, "scans are pass-tagged");
         }
         assert_eq!(ledger.physical_scans(), 3);
         for q in &queries {
