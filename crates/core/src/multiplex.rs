@@ -36,7 +36,12 @@
 //! all three. Wall-clock improves twice over: the repository is walked
 //! `max` instead of `sum` times (and stays cache-hot across guesses
 //! within a scan), and the per-item hot paths run on the word-batched
-//! `sc_bitset` slice kernels instead of per-element loops.
+//! `sc_bitset` slice kernels instead of per-element loops. Guesses that
+//! sample in the same scan share one element walk over a transposed
+//! mask of their residuals: per item, one gather pass loads every
+//! element's lane mask, and each lane the item touches takes one
+//! branch-free compaction pass, so the walk costs
+//! `|item| × (1 + lanes touched)` steps and never branches per hit.
 //!
 //! The driver is public so that a scheduler serving *many* queries can
 //! apply the same trick one level up: `sc_service` admits several
@@ -52,14 +57,20 @@
 //! A guess whose sample size `sample_size_for(cfg, k, n, m)` reaches
 //! `n` samples its whole residual in every iteration:
 //! `sample_from_bitset_into` then takes every live element and never
-//! draws from the RNG, so the guess's entire run — cover (or failure),
-//! logical passes, space peak, traces — depends only on the
-//! repository, the configuration without its seed, the coverage goal
-//! and `k`. Such a guess is *memoizable*. A [`GuessMemo`] records the
+//! draws from the RNG. Such a guess is *memoizable*, and its run is
+//! short. Its first sample is the whole universe, so its first offline
+//! solve either covers everything that is left (passes 2: every goal
+//! is met, no cleanup follows) or finds an element in no set and fails
+//! (passes 1). Its entire run — cover (or failure), logical passes,
+//! space peak, traces — thus depends only on the repository, `k`, the
+//! offline solver and the size-test flag: not on the seed, δ, the
+//! sample-size constants or the query's coverage goal. (δ ≤ 1 gives
+//! every guess at least one iteration.) A [`GuessMemo`] records the
 //! outcomes of memoizable guesses over one repository, keyed on
-//! (configuration with the seed left out, `goal.allowed`, `k`), and a
-//! driver built with [`IterCoverDriver::replaying`] replays the ones it
-//! already holds instead of recomputing them. A replayed guess keeps
+//! (`solver`, `final_cleanup_pass`, `disable_size_test`, `k`), so
+//! full-cover and ε-partial queries at any δ share one entry per `k`;
+//! a driver built with [`IterCoverDriver::replaying`] replays the ones
+//! it already holds instead of recomputing them. A replayed guess keeps
 //! its forked [`SetStream`] and rides its recorded number of scans as
 //! a participant, so physical scans, participants per scan,
 //! [`pass_index`](IterCoverDriver::pass_index), covers, passes and
@@ -496,31 +507,108 @@ impl<'a> GuessRun<'a> {
     }
 }
 
-/// What a guess's outcome depends on once its run is seed-free: every
-/// configuration field the guess machine reads except `seed`, the
-/// residual goal, and `k`. Floats key by their bits.
+/// The scratch of the shared element walk: the gathered lane masks of
+/// the current item, and one region of hit ids per lane the item
+/// touches. Both grow to the largest item walked and are reused, so the
+/// walk allocates nothing once warm. The hit regions hold at most
+/// `lanes × |longest set|` ids. Compacting every lane before visiting
+/// any is the faster of the two layouts measured: in six interleaved
+/// `scan_profile` runs its first-scan absorb took 16–26% less time than
+/// reusing one `|longest set|` buffer lane by lane.
+#[derive(Debug, Default)]
+struct LaneWalk {
+    /// `row[i]` = the lane mask of the item's `i`-th element.
+    row: Vec<u64>,
+    /// Per touched lane, in ascending lane order, an `|item|`-long
+    /// region whose prefix holds that lane's hits.
+    hits: Vec<ElemId>,
+}
+
+/// The lane numbers of `mask`'s set bits, ascending.
+fn lanes_of(mask: u64) -> impl Iterator<Item = u32> {
+    std::iter::successors(Some(mask), |&m| Some(m & m.wrapping_sub(1)))
+        .take_while(|&m| m != 0)
+        .map(u64::trailing_zeros)
+}
+
+impl LaneWalk {
+    /// Walks one item over the transposed residual masks. Calls
+    /// `visit(s, hits)` for every lane `s` that has at least one of
+    /// `elems` in its residual, in ascending lane order, with `hits` =
+    /// those elements in ascending order. When `visit` returns `true`
+    /// the hits left lane `s`'s residual, so their bits leave
+    /// `sample_mask` too.
+    ///
+    /// One gather pass loads every element's mask and ORs them; an item
+    /// no lane touches costs nothing more. Each lane bit of the OR then
+    /// takes one branch-free compaction pass over the gathered row, so
+    /// the walk does not branch once per lane hit. Lanes are distinct
+    /// bits, so compacting them all before the first visit sees the
+    /// same hits as visiting each right after its compaction.
+    fn walk(
+        &mut self,
+        sample_mask: &mut [u64],
+        elems: &[ElemId],
+        mut visit: impl FnMut(usize, &[ElemId]) -> bool,
+    ) {
+        let len = elems.len();
+        if self.row.len() < len {
+            self.row.resize(len, 0);
+        }
+        let row = &mut self.row[..len];
+        let mut any = 0u64;
+        for (slot, &e) in row.iter_mut().zip(elems) {
+            let m = sample_mask[e as usize];
+            *slot = m;
+            any |= m;
+        }
+        if any == 0 {
+            return;
+        }
+        let regions = len * any.count_ones() as usize;
+        if self.hits.len() < regions {
+            self.hits.resize(regions, 0);
+        }
+        let mut counts = [0usize; 64];
+        let compact = lanes_of(any).zip(self.hits.chunks_exact_mut(len));
+        for ((s, region), count) in compact.zip(&mut counts) {
+            let mut c = 0;
+            for (&e, &m) in elems.iter().zip(row.iter()) {
+                region[c] = e;
+                c += ((m >> s) & 1) as usize;
+            }
+            *count = c;
+        }
+        for ((s, region), &count) in lanes_of(any).zip(self.hits.chunks_exact(len)).zip(&counts) {
+            let hits = &region[..count];
+            if visit(s as usize, hits) {
+                for &e in hits {
+                    sample_mask[e as usize] &= !(1 << s);
+                }
+            }
+        }
+    }
+}
+
+/// What a guess's outcome depends on once its run is seed-free (see
+/// the module docs): the configuration fields that shape its one
+/// iteration, and `k`. `final_cleanup_pass` cannot matter either, as
+/// the run never reaches a cleanup pass, but keying on it costs
+/// nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct GuessKey {
-    delta: u64,
     solver: OfflineSolver,
-    sample_constant: u64,
-    paper_constants: bool,
     final_cleanup_pass: bool,
     disable_size_test: bool,
-    allowed: usize,
     k: usize,
 }
 
 impl GuessKey {
-    fn new(cfg: &IterSetCoverConfig, goal: Goal, k: usize) -> Self {
+    fn new(cfg: &IterSetCoverConfig, k: usize) -> Self {
         Self {
-            delta: cfg.delta.to_bits(),
             solver: cfg.solver,
-            sample_constant: cfg.sample_constant.to_bits(),
-            paper_constants: cfg.paper_constants,
             final_cleanup_pass: cfg.final_cleanup_pass,
             disable_size_test: cfg.disable_size_test,
-            allowed: goal.allowed,
             k,
         }
     }
@@ -580,9 +668,10 @@ struct MemoEntries {
 }
 
 impl GuessMemo {
-    /// The most entries a memo holds. A query shape (configuration,
-    /// goal) contributes one entry per memoizable guess, about half of
-    /// its `log₂ n + 1` guesses at δ = 0.5.
+    /// The most entries a memo holds. Every query with the same
+    /// solver and flags shares one entry per memoizable `k`, so a
+    /// repository needs at most `log₂ n + 1` entries per solver and
+    /// flag combination.
     pub const CAPACITY: usize = 1024;
 
     /// An empty memo.
@@ -660,11 +749,14 @@ impl GuessMemo {
 /// queries simply concatenates the participant lists of all of its
 /// drivers before one shared scan.
 ///
-/// The traversal scratch (`sample_mask`, `lane_hits`, `lanes`, `solo`)
-/// holds exactly the same bits as the guesses' own (already-charged)
-/// `L` bitmaps in transposed order, so it adds nothing to the model's
-/// space accounting: it is the simulation's layout of the parallel
-/// branches' state, not a new algorithmic store.
+/// The traversal scratch (`sample_mask`, `lanes`, `solo` and the
+/// walk's buffers) holds exactly the same bits as the guesses' own
+/// (already-charged) residual bitmaps in transposed order, so it adds
+/// nothing to the model's space accounting: it is the simulation's
+/// layout of the parallel branches' state, not a new algorithmic
+/// store. Besides the `n`-word mask, the walk keeps one gathered-mask
+/// row (one `u64` per element of the longest set walked) and one hit
+/// region per lane (at most `lanes × |longest set|` ids).
 ///
 /// # Replay
 ///
@@ -695,7 +787,8 @@ pub struct IterCoverDriver<'a> {
     /// Transposed residual bitmaps: `sample_mask[e]` has bit `s` set iff
     /// element `e` is in lane `s`'s residual.
     sample_mask: Vec<u64>,
-    lane_hits: Vec<Vec<ElemId>>,
+    /// The per-item scratch of the shared element walk.
+    walk: LaneWalk,
     /// Guesses sharing the element traversal this scan.
     lanes: Vec<(usize, Phase)>,
     /// Guesses walking items through their per-guess kernels instead.
@@ -739,6 +832,13 @@ impl<'a> IterCoverDriver<'a> {
         meter: &SpaceMeter,
         memo: &'a GuessMemo,
     ) -> Self {
+        // The memo key leaves δ out because δ ≤ 1 runs every guess's
+        // first iteration (see the module docs).
+        assert!(
+            cfg.delta > 0.0 && cfg.delta <= 1.0,
+            "δ must lie in (0, 1], got {}",
+            cfg.delta
+        );
         match required {
             None => Self::with_goal(cfg, Goal::FULL, stream, meter, Some(memo)),
             Some(required) => {
@@ -768,7 +868,7 @@ impl<'a> IterCoverDriver<'a> {
                 let k = 1usize << i;
                 let recorded = memo
                     .filter(|_| sample_size_for(cfg, k, n, m) >= n)
-                    .and_then(|memo| memo.get(&GuessKey::new(cfg, goal, k)));
+                    .and_then(|memo| memo.get(&GuessKey::new(cfg, k)));
                 match recorded {
                     Some(record) => replays.push(Replay {
                         k,
@@ -791,7 +891,7 @@ impl<'a> IterCoverDriver<'a> {
             memo,
             scanning: Vec::new(),
             finished_scans: 0,
-            lane_hits: Vec::new(),
+            walk: LaneWalk::default(),
             lanes: Vec::new(),
             solo: Vec::new(),
         }
@@ -828,8 +928,13 @@ impl<'a> IterCoverDriver<'a> {
     /// feeds every lane (the repository is memory-bound, so walking
     /// it once beats walking it per guess even for dense residuals);
     /// a lone lane goes solo through the gather kernel instead,
-    /// skipping the mask rebuild. `u64` lanes always suffice: there
-    /// are at most log2(usize::MAX) + 1 = 64 guesses.
+    /// skipping the mask rebuild. Bit `s` of `sample_mask[e]` stands
+    /// for lane `s`, and the walk visits an item's lanes in ascending
+    /// `s`, the order they are pushed here, which is guess order. The
+    /// mask is charged to nobody: the walk keeps it equal to the lanes'
+    /// own residuals (a debug build checks every hit list against
+    /// them). `u64` lanes always suffice: there are at most
+    /// log2(usize::MAX) + 1 = 64 guesses.
     pub fn begin_scan(&mut self) {
         self.scanning.clear();
         self.lanes.clear();
@@ -855,7 +960,6 @@ impl<'a> IterCoverDriver<'a> {
             "more than 64 parallel guesses cannot occur"
         );
         self.sample_mask.fill(0);
-        self.lane_hits.resize_with(self.lanes.len(), Vec::new);
         for (s, &(g, phase)) in self.lanes.iter().enumerate() {
             let guess = &self.guesses[g];
             match phase {
@@ -906,24 +1010,23 @@ impl<'a> IterCoverDriver<'a> {
     /// lane, then each solo guess absorbs it through its own kernels.
     fn absorb(&mut self, id: SetId, elems: &[ElemId]) {
         if !self.lanes.is_empty() {
-            // Each mask load yields all lanes containing the element,
-            // and per-lane work is proportional to the lane's actual
-            // hits, not to the set size.
-            for &e in elems {
-                let mut m = self.sample_mask[e as usize];
-                while m != 0 {
-                    self.lane_hits[m.trailing_zeros() as usize].push(e);
-                    m &= m - 1;
-                }
-            }
-            for (s, &(g, phase)) in self.lanes.iter().enumerate() {
-                let hits = &mut self.lane_hits[s];
-                if hits.is_empty() {
-                    continue;
-                }
-                let guess = &mut self.guesses[g];
-                let shrank = match phase {
+            let (lanes, guesses) = (&self.lanes, &mut self.guesses);
+            self.walk.walk(&mut self.sample_mask, elems, |s, hits| {
+                let (g, phase) = lanes[s];
+                let guess = &mut guesses[g];
+                match phase {
                     Phase::Pass1 => {
+                        debug_assert_eq!(
+                            hits.len(),
+                            guess
+                                .l_sample
+                                .as_ref()
+                                .expect("pass-1 state")
+                                .get()
+                                .intersection_count_slice(elems),
+                            "lane {s}'s mask drifted from guess k={}'s L",
+                            guess.k
+                        );
                         if guess.is_heavy(hits.len()) {
                             // Removing the hits (= elems ∩ L) is what
                             // the heavy pick does to L.
@@ -934,20 +1037,23 @@ impl<'a> IterCoverDriver<'a> {
                             false
                         }
                     }
-                    // Past the goal the lane still hits, but emits
-                    // nothing more.
-                    Phase::Cleanup => !guess.swept && guess.cleanup_hit(id, elems),
-                    _ => unreachable!("only pass-1 and cleanup guesses become lanes"),
-                };
-                if shrank {
-                    // The hit elements left this lane's residual, so
-                    // they leave its mask lane too.
-                    for &e in hits.iter() {
-                        self.sample_mask[e as usize] &= !(1 << s);
+                    Phase::Cleanup => {
+                        debug_assert!(
+                            {
+                                let live = guess.live.as_ref().expect("live until finish").get();
+                                hits.iter().all(|&e| live.contains(e))
+                                    && hits.len() == live.intersection_count_slice(elems)
+                            },
+                            "lane {s}'s mask drifted from guess k={}'s stragglers",
+                            guess.k
+                        );
+                        // Past the goal the lane still hits, but emits
+                        // nothing more.
+                        !guess.swept && guess.cleanup_hit(id, elems)
                     }
+                    _ => unreachable!("only pass-1 and cleanup guesses become lanes"),
                 }
-                hits.clear();
-            }
+            });
         }
         for &g in &self.solo {
             self.guesses[g].absorb(id, elems);
@@ -987,7 +1093,7 @@ impl<'a> IterCoverDriver<'a> {
         for guess in self.guesses {
             let key = guess
                 .seed_free()
-                .then(|| GuessKey::new(&guess.cfg, guess.goal, guess.k));
+                .then(|| GuessKey::new(&guess.cfg, guess.k));
             let k = guess.k;
             let record = Arc::new(guess.into_record());
             if let (Some(memo), Some(key)) = (self.memo, key) {
@@ -1273,13 +1379,13 @@ mod tests {
         let inst = gen::planted(512, 1024, 16, 9);
         let root = SetStream::new(&inst.system);
         let (n, m) = (root.universe(), root.num_sets());
-        let memo = GuessMemo::new();
         for delta in [0.25, 0.5, 0.75, 1.0] {
+            let memo = GuessMemo::new();
+            let cfg = IterSetCoverConfig {
+                delta,
+                ..Default::default()
+            };
             for epsilon in [None, Some(0.1)] {
-                let cfg = IterSetCoverConfig {
-                    delta,
-                    ..Default::default()
-                };
                 let meter = SpaceMeter::new();
                 observe(
                     spawn(&cfg, epsilon, &root, &meter, Some(&memo)),
@@ -1287,21 +1393,74 @@ mod tests {
                     &meter,
                 );
             }
+            let entries = memo.lock();
+            assert!(!entries.by_key.is_empty(), "δ={delta}");
+            for key in entries.by_key.keys() {
+                assert!(sample_size_for(&cfg, key.k, n, m) >= n, "δ={delta} {key:?}");
+            }
+            if delta == 0.25 {
+                // n^δ ≈ 4.8 at n = 512, so only k ≥ 107 are seed-free.
+                assert!(entries.by_key.keys().all(|key| key.k >= 128));
+            }
         }
-        let entries = memo.lock();
-        assert!(!entries.by_key.is_empty());
-        for key in entries.by_key.keys() {
-            let cfg = IterSetCoverConfig {
-                delta: f64::from_bits(key.delta),
-                ..Default::default()
-            };
-            assert!(sample_size_for(&cfg, key.k, n, m) >= n, "{key:?}");
+    }
+
+    /// The memo key leaves δ and the goal out: entries recorded by
+    /// δ = 0.5 full-cover queries serve full-cover queries at other δ
+    /// and ε-partial queries alike, bit-identically.
+    #[test]
+    fn one_memo_serves_every_delta_and_goal() {
+        let inst = gen::planted(300, 450, 12, 5);
+        let root = SetStream::new(&inst.system);
+        let (n, m) = (root.universe(), root.num_sets());
+        let cfg = |delta, seed| IterSetCoverConfig {
+            delta,
+            seed,
+            ..Default::default()
+        };
+        // The guesses k = 1, 2, 4, … up to the first k ≥ n.
+        let guesses = std::iter::successors(Some(1usize), |&k| (k < n).then_some(2 * k));
+        let seed_free = |delta| {
+            guesses
+                .clone()
+                .filter(|&k| sample_size_for(&cfg(delta, 0), k, n, m) >= n)
+                .collect::<Vec<_>>()
+        };
+        let filled = seed_free(0.5);
+        assert!(!filled.is_empty());
+        let queries = [
+            (0.25, None),
+            (1.0, None),
+            (0.25, Some(0.1)),
+            (0.5, Some(0.1)),
+            (1.0, Some(0.1)),
+        ];
+        for (delta, epsilon) in queries {
+            for seed in [3, 11] {
+                let memo = GuessMemo::new();
+                for fill_seed in [101, 102] {
+                    let meter = SpaceMeter::new();
+                    let driver = spawn(&cfg(0.5, fill_seed), None, &root, &meter, Some(&memo));
+                    observe(driver, &root, &meter);
+                }
+                assert_eq!(memo.len(), filled.len());
+                let label = format!("δ={delta} ε={epsilon:?} seed={seed}");
+                let want = seed_free(delta)
+                    .iter()
+                    .filter(|k| filled.contains(k))
+                    .count();
+                assert!(want > 0, "{label}");
+                let (a, b) = (SpaceMeter::new(), SpaceMeter::new());
+                let solo = observe(
+                    spawn(&cfg(delta, seed), epsilon, &root, &a, None),
+                    &root,
+                    &a,
+                );
+                let driver = spawn(&cfg(delta, seed), epsilon, &root, &b, Some(&memo));
+                assert_eq!(driver.replayed_guesses(), want, "{label}");
+                assert_eq!(observe(driver, &root, &b), solo, "{label}");
+            }
         }
-        // δ = 0.25 at n = 512: n^δ ≈ 4.8, so only k ≥ 107 are seed-free.
-        assert!(entries
-            .by_key
-            .keys()
-            .all(|key| key.k >= 128 || f64::from_bits(key.delta) > 0.25));
     }
 
     #[test]
@@ -1313,13 +1472,93 @@ mod tests {
             peak: 0,
             traces: Vec::new(),
         });
-        let key = |k| GuessKey::new(&IterSetCoverConfig::default(), Goal::FULL, k);
+        let key = |k| GuessKey::new(&IterSetCoverConfig::default(), k);
         for k in 0..GuessMemo::CAPACITY + 10 {
             memo.insert(key(k), Arc::clone(&record));
         }
         assert_eq!(memo.len(), GuessMemo::CAPACITY);
         assert!(memo.get(&key(9)).is_none(), "the oldest went first");
         assert!(memo.get(&key(10)).is_some());
+    }
+
+    /// The per-hit push loop the gathered-mask walk replaced, kept as
+    /// its reference: every set mask bit pushes the element onto its
+    /// lane's hit list, then the non-empty lanes are visited in order.
+    fn reference_walk(
+        sample_mask: &mut [u64],
+        elems: &[ElemId],
+        mut visit: impl FnMut(usize, &[ElemId]) -> bool,
+    ) {
+        let mut lane_hits = vec![Vec::new(); 64];
+        for &e in elems {
+            let mut m = sample_mask[e as usize];
+            while m != 0 {
+                lane_hits[m.trailing_zeros() as usize].push(e);
+                m &= m - 1;
+            }
+        }
+        for (s, hits) in lane_hits.iter().enumerate() {
+            if !hits.is_empty() && visit(s, hits) {
+                for &e in hits {
+                    sample_mask[e as usize] &= !(1 << s);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_gathered_mask_walk_equals_the_per_hit_push_loop() {
+        use rand::{RngCore, RngExt};
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut walk = LaneWalk::default();
+        let mut edge_lanes_hit = [false; 2];
+        for round in 0..40 {
+            let n = rng.random_range(1..300usize);
+            // A random set of lanes, always with the edge bits 0 and 63.
+            let lanes = rng.next_u64() | 1 | 1 << 63;
+            // Each element is in each lane with its own density; about
+            // a quarter of the elements are in no lane at all.
+            let mask: Vec<u64> = (0..n)
+                .map(|_| {
+                    if rng.random_bool(0.25) {
+                        0
+                    } else {
+                        lanes & rng.next_u64() & rng.next_u64()
+                    }
+                })
+                .collect();
+            let items: Vec<Vec<ElemId>> = (0..50)
+                .map(|_| {
+                    let density = [0.0, 0.02, 0.2, 0.9][rng.random_range(0..4usize)];
+                    (0..n as ElemId)
+                        .filter(|_| rng.random_bool(density))
+                        .collect()
+                })
+                .collect();
+            // Lanes shrink mid-scan on some hits; the decision depends
+            // only on what the visit sees, so both walks make the same.
+            let shrinks =
+                |s: usize, hits: &[ElemId]| (s + hits.len() + hits[0] as usize).is_multiple_of(3);
+            let (mut got, mut want) = (mask.clone(), mask);
+            let (mut got_visits, mut want_visits) = (Vec::new(), Vec::new());
+            for (i, elems) in items.iter().enumerate() {
+                walk.walk(&mut got, elems, |s, hits| {
+                    got_visits.push((i, s, hits.to_vec()));
+                    shrinks(s, hits)
+                });
+                reference_walk(&mut want, elems, |s, hits| {
+                    want_visits.push((i, s, hits.to_vec()));
+                    shrinks(s, hits)
+                });
+            }
+            assert_eq!(got_visits, want_visits, "round {round}");
+            assert_eq!(got, want, "round {round}: masks after the scan");
+            for (_, s, _) in &want_visits {
+                edge_lanes_hit[0] |= *s == 0;
+                edge_lanes_hit[1] |= *s == 63;
+            }
+        }
+        assert_eq!(edge_lanes_hit, [true, true]);
     }
 
     #[test]

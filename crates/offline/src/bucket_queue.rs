@@ -21,15 +21,19 @@
 
 /// A monotone bucket priority queue over `(gain, set index)` entries.
 ///
+/// The queue is built from its initial gains in one go: a histogram of
+/// the gains sizes every bucket exactly, so each bucket is allocated
+/// once and filled in ascending index order (already sorted, so the
+/// sort on the cursor's first arrival is a linear check). Only later
+/// [`push`](Self::push)es of stale entries grow a bucket.
+///
 /// # Examples
 ///
 /// ```
 /// use sc_offline::BucketQueue;
 ///
-/// let mut q = BucketQueue::new(5);
-/// q.push(5, 2);
-/// q.push(5, 0);
-/// q.push(3, 1);
+/// let mut q = BucketQueue::new(&[5, 3, 5, 0]); // index 3 has no gain
+/// assert_eq!(q.len(), 3);
 /// assert_eq!(q.pop(), Some((5, 0))); // equal gain: smallest index
 /// assert_eq!(q.pop(), Some((5, 2)));
 /// q.push(1, 2); // stale re-insert below the cursor
@@ -51,13 +55,37 @@ pub struct BucketQueue {
 }
 
 impl BucketQueue {
-    /// Creates a queue accepting gains in `0..=max_gain`.
-    pub fn new(max_gain: usize) -> Self {
+    /// Creates a queue holding index `i` at gain `gains[i]` for every
+    /// positive gain, and accepting pushes of gains in `0..=max_gain`,
+    /// where `max_gain` is the largest of `gains` (0 when empty).
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than `u32::MAX` gains: entries store
+    /// their index as a `u32`.
+    pub fn new(gains: &[usize]) -> Self {
+        assert!(
+            u32::try_from(gains.len()).is_ok(),
+            "bucket queue indexes sets as u32"
+        );
+        let max_gain = gains.iter().copied().max().unwrap_or(0);
+        let mut sizes = vec![0usize; max_gain + 1];
+        for &g in gains {
+            sizes[g] += 1;
+        }
+        sizes[0] = 0; // zero gains are not queued
+        let len = sizes.iter().sum();
+        let mut buckets: Vec<Vec<u32>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for (i, &g) in gains.iter().enumerate() {
+            if g > 0 {
+                buckets[g].push(i as u32);
+            }
+        }
         Self {
-            buckets: vec![Vec::new(); max_gain + 1],
+            buckets,
             heads: vec![0; max_gain + 1],
             cursor: max_gain + 1,
-            len: 0,
+            len,
         }
     }
 
@@ -71,16 +99,17 @@ impl BucketQueue {
         self.len == 0
     }
 
-    /// Inserts an entry. Gains must not exceed the constructor's
-    /// `max_gain`; once popping has begun, pushes must land strictly
+    /// Inserts an entry. Gains must not exceed the largest initial
+    /// gain; once popping has begun, pushes must land strictly
     /// below the current cursor (guaranteed for the greedy oracle,
     /// where a re-pushed gain is strictly below the popped one).
     ///
     /// # Panics
     ///
-    /// Panics if `gain > max_gain`; in debug builds, also if a push
-    /// lands at or above the settled cursor (that bucket was already
-    /// sorted and possibly drained — a caller bug).
+    /// Panics if `gain` exceeds the largest initial gain; in debug
+    /// builds, also if a push lands at or above the settled cursor
+    /// (that bucket was already sorted and possibly drained — a caller
+    /// bug).
     pub fn push(&mut self, gain: usize, idx: u32) {
         assert!(
             gain < self.buckets.len(),
@@ -141,10 +170,9 @@ mod tests {
 
     #[test]
     fn pops_by_gain_then_index() {
-        let mut q = BucketQueue::new(10);
-        for (g, i) in [(3, 7), (10, 4), (10, 1), (0, 9), (3, 2)] {
-            q.push(g, i);
-        }
+        let mut q = BucketQueue::new(&[0, 10, 3, 0, 10, 0, 0, 3]);
+        assert_eq!(q.len(), 4, "zero gains are not queued");
+        q.push(0, 9);
         let mut got = Vec::new();
         while let Some(e) = q.pop() {
             got.push(e);
@@ -155,10 +183,7 @@ mod tests {
 
     #[test]
     fn lazy_reinserts_sort_into_their_bucket() {
-        let mut q = BucketQueue::new(4);
-        q.push(4, 0);
-        q.push(4, 1);
-        q.push(2, 5);
+        let mut q = BucketQueue::new(&[4, 4, 0, 0, 0, 2]);
         assert_eq!(q.pop(), Some((4, 0)));
         // Stale entries re-filed below the cursor, out of index order.
         q.push(2, 9);
@@ -174,7 +199,8 @@ mod tests {
 
     #[test]
     fn zero_gain_entries_are_reachable() {
-        let mut q = BucketQueue::new(0);
+        let mut q = BucketQueue::new(&[]);
+        assert!(q.is_empty());
         q.push(0, 3);
         q.push(0, 1);
         assert_eq!(q.len(), 2);
@@ -184,8 +210,17 @@ mod tests {
     }
 
     #[test]
+    fn buckets_are_allocated_at_their_exact_size() {
+        let q = BucketQueue::new(&[2, 7, 2, 0, 7, 7, 1]);
+        let caps: Vec<usize> = q.buckets.iter().map(Vec::capacity).collect();
+        assert_eq!(caps, vec![0, 1, 2, 0, 0, 0, 0, 3]);
+        assert_eq!(q.buckets[7], vec![1, 4, 5], "filled in index order");
+        assert_eq!(q.len(), 6);
+    }
+
+    #[test]
     #[should_panic(expected = "exceeds max_gain")]
     fn gain_above_capacity_panics() {
-        BucketQueue::new(3).push(4, 0);
+        BucketQueue::new(&[1, 3]).push(4, 0);
     }
 }

@@ -94,18 +94,8 @@ fn greedy_bucket_core(
     if uncovered.is_empty() {
         return Some(solution);
     }
-    assert!(
-        u32::try_from(num_sets).is_ok(),
-        "bucket queue indexes sets as u32"
-    );
     let gains: Vec<usize> = (0..num_sets).map(|i| count(i, &uncovered)).collect();
-    let max_gain = gains.iter().copied().max().unwrap_or(0);
-    let mut queue = BucketQueue::new(max_gain);
-    for (i, &g) in gains.iter().enumerate() {
-        if g > 0 {
-            queue.push(g, i as u32);
-        }
-    }
+    let mut queue = BucketQueue::new(&gains);
     while !uncovered.is_empty() {
         let (stale_gain, idx) = queue.pop()?;
         let idx = idx as usize;
