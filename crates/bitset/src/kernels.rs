@@ -4,7 +4,9 @@
 //! kernels here: whole-word set algebra (`or`/`and`/`and-not`, plus
 //! their popcount-only variants) and the sorted-slice kernels that the
 //! streaming hot paths run per element (`intersection_count_sorted`,
-//! `intersect_sorted_into`, `remove_sorted`, `insert_sorted`).
+//! `intersect_sorted_into`, `remove_sorted`, `insert_sorted`). One
+//! more kernel serves the guess executor's transposed-mask walk:
+//! [`compact_lane`] keeps the ids whose mask has one lane's bit set.
 //!
 //! Two implementations exist for each kernel:
 //!
@@ -17,14 +19,23 @@
 //!   costs at most one `count_ones` per word instead of one shift/add
 //!   per element.
 //! * `avx2` (x86-64 only, private) — explicit 256-bit vector paths:
-//!   4-words-per-iteration set algebra and a `vpshufb` nibble-table
-//!   popcount for the counting kernels. The spans and mask fragments
-//!   built by the shared splitter feed the same vector popcount, so
-//!   dense slices hit the wide path while sparse slices degrade
-//!   gracefully to the scalar tail. (`intersect_sorted_into` stays on
-//!   the shared scalar emit loop on every backend: its output side is
-//!   inherently serial below AVX-512 compress stores, and a gathered
-//!   probe measured slower than the span walk.)
+//!   - 4-words-per-iteration set algebra;
+//!   - a `vpshufb` nibble-table popcount for the counting kernels. The
+//!     spans and mask fragments built by the shared splitter feed the
+//!     same vector popcount, so dense slices hit the wide path while
+//!     sparse slices degrade gracefully to the scalar tail;
+//!   - span-walk removal and insertion on the 4-word set algebra;
+//!   - lane compaction, 4 ids per step: shift the masks so the lane's
+//!     bit is the sign bit, `vmovmskpd`, pack the hits with one
+//!     `pshufb` from a 16-entry table, store 16 bytes unaligned and
+//!     advance by the hit count. An 8-wide `vpermd` variant (a 256-entry
+//!     table) saved at most ~1% of a query on the 32–66-id sets the
+//!     service walks, mostly inside the noise, so the 4-wide one stays.
+//!
+//!   `intersect_sorted_into` stays on the shared scalar emit loop on
+//!   every backend: it emits one id per set bit of `word & mask`, an
+//!   output side that is serial below AVX-512 compress stores, and a
+//!   gathered probe measured slower than the span walk.
 //!
 //! Dispatch is resolved **once** per process ([`backend`], an
 //! [`OnceLock`]): AVX2 when the CPU reports it, scalar otherwise, and
@@ -354,6 +365,19 @@ pub mod scalar {
             }
         });
     }
+
+    /// Writes to the front of `out` the `elems[i]` whose `masks[i]`
+    /// has bit `lane` set, in order, and returns how many. Branch-free:
+    /// every id is stored at the write cursor, which advances only
+    /// past hits, so `out[..elems.len()]` is scratch.
+    pub fn compact_lane(elems: &[u32], masks: &[u64], lane: u32, out: &mut [u32]) -> usize {
+        let mut c = 0;
+        for (&e, &m) in elems.iter().zip(masks) {
+            out[c] = e;
+            c += ((m >> lane) & 1) as usize;
+        }
+        c
+    }
 }
 
 /// Explicit 256-bit kernels. Private: reached only through the
@@ -505,6 +529,70 @@ mod avx2 {
             Span::Masked { word0, masks } => or_into(&mut words[word0..word0 + masks.len()], masks),
         });
     }
+
+    /// `PACK4[m]` is the `pshufb` control that moves the 32-bit lanes
+    /// selected by the 4-bit mask `m` to the front, in order (the other
+    /// bytes read zero); `PACK4_LEN[m]` is how many it moves.
+    const PACK4: [[u8; 16]; 16] = pack4_table();
+    const PACK4_LEN: [u8; 16] = [0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4];
+
+    const fn pack4_table() -> [[u8; 16]; 16] {
+        let mut table = [[0x80u8; 16]; 16];
+        let mut m = 0;
+        while m < 16 {
+            let mut front = 0;
+            let mut j = 0;
+            while j < 4 {
+                if (m >> j) & 1 == 1 {
+                    let mut b = 0;
+                    while b < 4 {
+                        table[m][front * 4 + b] = (j * 4 + b) as u8;
+                        b += 1;
+                    }
+                    front += 1;
+                }
+                j += 1;
+            }
+            m += 1;
+        }
+        table
+    }
+
+    /// Four ids per step: shift each mask left so bit `lane` lands in
+    /// the sign bit, `vmovmskpd` the four sign bits, pack the hit ids
+    /// to the front with one `pshufb`, store all 16 bytes at the write
+    /// cursor and advance it by the hit count. The cursor never passes
+    /// the read position, so a block's store ends at or before the
+    /// block's own end: `out[..elems.len()]` holds every write. The
+    /// 1–3 id tail runs the scalar loop.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, `masks.len() == elems.len()`,
+    /// `out.len() >= elems.len()` and `lane < 64` (the public
+    /// `compact_lane` asserts all three).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn compact_lane(elems: &[u32], masks: &[u64], lane: u32, out: &mut [u32]) -> usize {
+        let shift = _mm_cvtsi32_si128(63 - lane as i32);
+        let blocks = elems.len() / 4;
+        let mut c = 0usize;
+        for b in 0..blocks {
+            let i = b * 4;
+            let m = _mm256_loadu_si256(masks.as_ptr().add(i) as *const __m256i);
+            let signs = _mm256_castsi256_pd(_mm256_sll_epi64(m, shift));
+            let hits = _mm256_movemask_pd(signs) as usize;
+            let ids = _mm_loadu_si128(elems.as_ptr().add(i) as *const __m128i);
+            let control = _mm_loadu_si128(PACK4[hits].as_ptr() as *const __m128i);
+            // c ≤ i, so the four slots written end by i + 4 ≤ elems.len().
+            _mm_storeu_si128(
+                out.as_mut_ptr().add(c) as *mut __m128i,
+                _mm_shuffle_epi8(ids, control),
+            );
+            c += PACK4_LEN[hits] as usize;
+        }
+        let tail = blocks * 4;
+        c + super::scalar::compact_lane(&elems[tail..], &masks[tail..], lane, &mut out[c..])
+    }
 }
 
 /// Telemetry backend-hit accounting. The kernels run per element under
@@ -521,8 +609,12 @@ mod avx2 {
 /// sorted-slice calls of at least [`SHORT_SLICE`] ids. Shorter slices
 /// return before dispatch and never reach [`hits::note`], so the
 /// counters measure backend use, not kernel work — a traced
-/// `tenants-closed` query counts ~68 dispatched calls against ~30 000
-/// short-slice calls from the greedy oracle.
+/// `tenants-closed` query counts ~110 dispatched calls against ~30 000
+/// short-slice calls from the greedy oracle. Lane compaction
+/// ([`compact_lane`]) dispatches without counting: it runs once per
+/// item and touched lane of a shared scan, ~12 000 times per query,
+/// so counting it would swamp the other kernels' figures (E22 records
+/// them) and put a thread-local bump on every call of the walk.
 mod hits {
     use super::Backend;
     use std::cell::Cell;
@@ -744,6 +836,45 @@ pub fn insert_sorted(words: &mut [u64], elems: &[u32]) {
         return scalar::insert_sorted(words, elems);
     }
     dispatch!(insert_sorted(words, elems))
+}
+
+/// Writes to the front of `out` the `elems[i]` whose `masks[i]` has
+/// bit `lane` set, in order, and returns how many, on the active
+/// backend. `out[..elems.len()]` is scratch: past the returned count
+/// it holds leftovers. This is the lane compaction of a transposed
+/// mask walk, where `masks[i]` says which lanes hold `elems[i]`.
+///
+/// # Examples
+///
+/// ```
+/// use sc_bitset::kernels::compact_lane;
+///
+/// let elems = [3, 8, 9, 20, 41];
+/// let masks = [0b10, 0b01, 0b11, 0b00, 0b10];
+/// let mut out = [0; 5];
+/// let hits = compact_lane(&elems, &masks, 1, &mut out);
+/// assert_eq!(&out[..hits], &[3, 9, 41]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `masks` and `elems` differ in length, if `out` is
+/// shorter than `elems`, or if `lane` is not below 64.
+pub fn compact_lane(elems: &[u32], masks: &[u64], lane: u32, out: &mut [u32]) -> usize {
+    assert_eq!(masks.len(), elems.len(), "one mask per id");
+    assert!(out.len() >= elems.len(), "output shorter than the ids");
+    assert!(lane < 64, "lane {lane} is not a bit of a u64 mask");
+    // Routed like `dispatch!`, minus the hit count (see `hits`).
+    match backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Backend::Avx2` is only ever produced by `detect()`
+        // after `is_x86_feature_detected!("avx2")`, and the three
+        // asserts above are the slice conditions `avx2::compact_lane`
+        // documents.
+        #[allow(unsafe_code)]
+        Backend::Avx2 => unsafe { avx2::compact_lane(elems, masks, lane, out) },
+        _ => scalar::compact_lane(elems, masks, lane, out),
+    }
 }
 
 #[cfg(test)]

@@ -197,3 +197,49 @@ fn empty_bitmap_is_legal() {
     kernels::intersect_sorted_into(&none, &[], &mut out);
     assert!(out.is_empty());
 }
+
+/// Lane compaction, dispatched against scalar and a filter model: the
+/// lanes at both ends of each 32-bit half, every length from 0 to 70
+/// (so each 1–3 id tail follows each number of whole 4-id blocks), and
+/// masks that are all zero, all one, random, or set only on lanes
+/// other than the compacted one. The count and the hit prefix must
+/// agree; the scratch past the prefix may differ.
+#[test]
+fn compact_lane_matches_scalar_and_model() {
+    let mut seed = 0x5eed_u64;
+    let mut next = move || {
+        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    for lane in [0u32, 1, 31, 32, 62, 63] {
+        for len in 0..=70usize {
+            let elems: Vec<u32> = (0..len as u32).map(|i| i * 7 + 3).collect();
+            let random: Vec<u64> = (0..len).map(|_| next()).collect();
+            let shapes = [
+                ("zero", vec![0u64; len]),
+                ("ones", vec![!0u64; len]),
+                ("random", random),
+                ("other lanes", vec![!(1u64 << lane); len]),
+            ];
+            for (shape, masks) in &shapes {
+                let model: Vec<u32> = elems
+                    .iter()
+                    .zip(masks)
+                    .filter(|&(_, m)| (m >> lane) & 1 == 1)
+                    .map(|(&e, _)| e)
+                    .collect();
+                let mut got = vec![u32::MAX; len];
+                let mut want = vec![u32::MAX; len];
+                let n = kernels::compact_lane(&elems, masks, lane, &mut got);
+                let m = kernels::scalar::compact_lane(&elems, masks, lane, &mut want);
+                let label = format!("lane {lane} len {len} {shape}");
+                assert_eq!(n, m, "{label}: count");
+                assert_eq!(&got[..n], &want[..m], "{label}: hits");
+                assert_eq!(&got[..n], model.as_slice(), "{label}: model");
+            }
+        }
+    }
+}

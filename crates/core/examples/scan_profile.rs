@@ -21,9 +21,24 @@
 //! the repository) and in `end_scan`. A query that needs fewer scans
 //! adds zero to the later rows. The report gives each figure's median
 //! over rounds, with the minimum and the interquartile range as its
-//! noise. `--quick` runs 2 rounds of 4 queries, enough to keep the
-//! example building and running.
+//! noise.
+//!
+//! A paired backend A/B follows. Each of its rounds runs the same
+//! queries of every case twice in one process, once with the bitset
+//! kernels pinned to the portable scalar path
+//! (`sc_bitset::kernels::force_scalar(true)`) and once on the detected
+//! backend, alternating which goes first. The report gives the median
+//! and IQR of the per-round differences, scalar minus detected, in
+//! solo ms per query and in scan-1 absorb ms per query. A slow spell
+//! hits both halves of a pair alike, so the difference resists the
+//! drift that swamps comparisons between separate runs. On a scalar
+//! machine, or under `SC_BITSET_FORCE_SCALAR=1`, both halves run the
+//! same code and the difference reads about zero.
+//!
+//! `--quick` runs 2 rounds of 4 queries, enough to keep the example
+//! building and running.
 
+use sc_bitset::kernels;
 use sc_core::{coverage_goal, GuessMemo, IterCoverDriver, IterSetCoverConfig};
 use sc_setsystem::{gen, SetSystem};
 use sc_stream::{SetStream, SpaceMeter};
@@ -78,6 +93,30 @@ fn run_query(case: &Case, seed: u64) -> (f64, Vec<[f64; 3]>) {
     (solo, scans)
 }
 
+/// Runs `queries` queries with seeds from `first_seed` on. Returns the
+/// mean solo ms per query and the mean `[begin, absorb, end]` ms per
+/// query for each scan index.
+fn run_round(case: &Case, first_seed: u64, queries: usize) -> (f64, Vec<[f64; 3]>) {
+    let (mut solo, mut scans) = (0.0, Vec::<[f64; 3]>::new());
+    for q in 0..queries as u64 {
+        let (ms, per_scan) = run_query(case, first_seed + q);
+        solo += ms;
+        if scans.len() < per_scan.len() {
+            scans.resize(per_scan.len(), [0.0; 3]);
+        }
+        for (row, t) in scans.iter_mut().zip(&per_scan) {
+            for (cell, x) in row.iter_mut().zip(t) {
+                *cell += x;
+            }
+        }
+    }
+    let per_query = |x: f64| x / queries as f64;
+    (
+        per_query(solo),
+        scans.iter().map(|row| row.map(per_query)).collect(),
+    )
+}
+
 /// `(median, min, interquartile range)` of a sample.
 fn spread(values: &[f64]) -> (f64, f64, f64) {
     let mut v = values.to_vec();
@@ -125,24 +164,9 @@ fn main() {
     }
     for rep in 0..reps {
         for case in &mut cases {
-            let (mut solo, mut scans) = (0.0, Vec::<[f64; 3]>::new());
-            for q in 0..queries {
-                let seed = 1000 + (rep * queries + q) as u64;
-                let (ms, per_scan) = run_query(case, seed);
-                solo += ms;
-                if scans.len() < per_scan.len() {
-                    scans.resize(per_scan.len(), [0.0; 3]);
-                }
-                for (row, t) in scans.iter_mut().zip(&per_scan) {
-                    for (cell, x) in row.iter_mut().zip(t) {
-                        *cell += x;
-                    }
-                }
-            }
-            let per_query = |x: f64| x / queries as f64;
-            case.solo.push(per_query(solo));
-            case.scans
-                .push(scans.iter().map(|row| row.map(per_query)).collect());
+            let (solo, scans) = run_round(case, 1000 + (rep * queries) as u64, queries);
+            case.solo.push(solo);
+            case.scans.push(scans);
         }
     }
     for case in &cases {
@@ -166,5 +190,44 @@ fn main() {
             }
             println!("{line}");
         }
+    }
+    backend_ab(&cases, reps, queries);
+}
+
+/// The paired backend A/B described in the module docs.
+fn backend_ab(cases: &[Case], reps: usize, queries: usize) {
+    let backend = kernels::backend_name();
+    // Per case, per round: scalar minus detected, `[solo, scan-1 absorb]`.
+    let mut diffs = vec![Vec::<[f64; 2]>::new(); cases.len()];
+    for rep in 0..reps {
+        for (case, diffs) in cases.iter().zip(&mut diffs) {
+            let first_seed = 50_000 + (rep * queries) as u64;
+            let run = |scalar: bool| {
+                kernels::force_scalar(scalar);
+                let (solo, scans) = run_round(case, first_seed, queries);
+                kernels::force_scalar(false);
+                [solo, scans.first().map_or(0.0, |scan| scan[1])]
+            };
+            let (scalar, detected) = if rep % 2 == 0 {
+                let scalar = run(true);
+                (scalar, run(false))
+            } else {
+                let detected = run(false);
+                (run(true), detected)
+            };
+            diffs.push([scalar[0] - detected[0], scalar[1] - detected[1]]);
+        }
+    }
+    println!(
+        "backend A/B: scalar − {backend}, ms/query, median (IQR) over {reps} paired rounds × {queries} queries, order alternating"
+    );
+    for (case, diffs) in cases.iter().zip(&diffs) {
+        let solo: Vec<f64> = diffs.iter().map(|d| d[0]).collect();
+        let absorb: Vec<f64> = diffs.iter().map(|d| d[1]).collect();
+        let ((solo, _, solo_iqr), (absorb, _, absorb_iqr)) = (spread(&solo), spread(&absorb));
+        println!(
+            "  {}: solo {solo:+.3} ({solo_iqr:.3}), scan-1 absorb {absorb:+.3} ({absorb_iqr:.3})",
+            case.label
+        );
     }
 }

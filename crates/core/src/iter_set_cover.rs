@@ -217,7 +217,7 @@ impl Goal {
 
 /// Runs the branch for one guess `k`. Returns the emitted cover, or
 /// `None` when the branch could not meet the goal (wrong guess).
-fn run_guess(
+pub(crate) fn run_guess(
     cfg: &IterSetCoverConfig,
     goal: Goal,
     k: usize,
@@ -253,6 +253,9 @@ fn run_guess(
         // small sets store their projection onto the sample.
         let mut projections = Tracked::new(ProjStore::default(), meter);
         let mut heavy_picked = 0usize;
+        // Projections stored from here on lie inside the final L: only
+        // a heavy pick shrinks L during the pass.
+        let mut known_from = 0usize;
         let mut scratch: Vec<ElemId> = Vec::new();
         for (id, elems) in stream.pass() {
             scratch.clear();
@@ -271,6 +274,7 @@ fn run_guess(
                     s.insert(id);
                 });
                 heavy_picked += 1;
+                known_from = projections.get().len();
                 let covered = &scratch;
                 l_sample.mutate(meter, |l| {
                     for &e in covered {
@@ -285,7 +289,7 @@ fn run_guess(
         let small_stored = projections.get().len();
 
         let offline_picked;
-        let picks = offline_solve(cfg.solver, &projections, &l_sample, meter);
+        let picks = offline_solve(cfg.solver, &projections, known_from, &l_sample, meter);
         match picks {
             Some(picks) => {
                 offline_picked = picks.len();
@@ -380,9 +384,19 @@ fn run_guess(
 /// is the live sample bitmap). Returns `None` when some sampled element
 /// is in no stored set at all — the instance is not coverable under
 /// this guess.
+///
+/// `known_from` is the number of projections the store held at the
+/// pass's last heavy pick (0 without one). The caller vouches that
+/// every projection stored after it still lies inside `l_sample`, as
+/// it does when only heavy picks shrink `L` during the pass: its
+/// greedy gain is then its length, so the greedy oracle counts only
+/// the projections before `known_from`
+/// ([`sc_offline::greedy_slices_known_from`], which a debug build
+/// checks against a full recount). The other oracles ignore it.
 pub(crate) fn offline_solve(
     solver: OfflineSolver,
     projections: &Tracked<ProjStore>,
+    known_from: usize,
     l_sample: &Tracked<BitSet>,
     meter: &SpaceMeter,
 ) -> Option<Vec<usize>> {
@@ -396,7 +410,12 @@ pub(crate) fn offline_solve(
             let scratch_words = l_sample.get().as_words().len() + projections.get().len();
             meter.charge(scratch_words);
             let proj = projections.get();
-            let picks = sc_offline::greedy_slices(proj.len(), |i| proj.elems(i), l_sample.get());
+            let picks = sc_offline::greedy_slices_known_from(
+                proj.len(),
+                |i| proj.elems(i),
+                l_sample.get(),
+                known_from,
+            );
             meter.release(scratch_words);
             picks
         }

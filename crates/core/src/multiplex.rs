@@ -91,11 +91,11 @@ use crate::sampling::sample_from_bitset_into;
 use crate::{IterSetCover, IterSetCoverConfig, IterationTrace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sc_bitset::{BitSet, HeapWords};
+use sc_bitset::{kernels, BitSet, HeapWords};
 use sc_offline::OfflineSolver;
 use sc_setsystem::{ElemId, SetId};
 use sc_stream::{SetStream, SpaceMeter, Tracked};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// What a guess is waiting for.
@@ -142,6 +142,10 @@ struct GuessRun<'a> {
     sample: Option<Tracked<Vec<ElemId>>>,
     l_sample: Option<Tracked<BitSet>>,
     projections: Option<Tracked<ProjStore>>,
+    /// Projections stored when the pass last picked a heavy set: the
+    /// ones stored after it lie inside the final `L`, so the oracle
+    /// takes their lengths as their gains (see `offline_solve`).
+    known_from: usize,
     threshold: f64,
 
     // Trace fields carried from pass 1 into the pass-2 trace push.
@@ -203,6 +207,7 @@ impl<'a> GuessRun<'a> {
             sample: None,
             l_sample: None,
             projections: None,
+            known_from: 0,
             threshold: 0.0,
             uncovered_before: 0,
             sample_len: 0,
@@ -271,6 +276,7 @@ impl<'a> GuessRun<'a> {
         self.sample = Some(sample);
         self.l_sample = Some(l_sample);
         self.heavy_picked = 0;
+        self.known_from = 0;
         self.phase = Phase::Pass1;
     }
 
@@ -322,10 +328,12 @@ impl<'a> GuessRun<'a> {
     /// Pass 1 heavy pick: emit the set and batch-remove it from `L`.
     /// Removing the whole set is equivalent to removing its covered
     /// elements — ids outside `L` are no-ops — so the caller never has
-    /// to materialise the hit list.
+    /// to materialise the hit list. This is the only step that shrinks
+    /// `L` in pass 1, so it moves the known-gain boundary.
     fn pass1_emit_heavy(&mut self, id: SetId, elems: &[ElemId]) {
         self.emit(id);
         self.heavy_picked += 1;
+        self.known_from = self.projections.as_ref().expect("pass-1 state").get().len();
         self.l_sample
             .as_mut()
             .expect("pass-1 state")
@@ -350,7 +358,13 @@ impl<'a> GuessRun<'a> {
         let projections = self.projections.take().expect("pass-1 state");
         self.projection_words = projections.get().heap_words();
         self.small_stored = projections.get().len();
-        match offline_solve(self.cfg.solver, &projections, &l_sample, &self.meter) {
+        match offline_solve(
+            self.cfg.solver,
+            &projections,
+            self.known_from,
+            &l_sample,
+            &self.meter,
+        ) {
             Some(picks) => {
                 self.offline_picked = picks.len();
                 for idx in picks {
@@ -511,10 +525,14 @@ impl<'a> GuessRun<'a> {
 /// the current item, and one region of hit ids per lane the item
 /// touches. Both grow to the largest item walked and are reused, so the
 /// walk allocates nothing once warm. The hit regions hold at most
-/// `lanes × |longest set|` ids. Compacting every lane before visiting
-/// any is the faster of the two layouts measured: in six interleaved
-/// `scan_profile` runs its first-scan absorb took 16–26% less time than
-/// reusing one `|longest set|` buffer lane by lane.
+/// `lanes × |longest set|` ids. Each region is filled by
+/// [`kernels::compact_lane`], whose vector path stores four ids per
+/// step but never writes past the region's `|item|` slots (its write
+/// cursor never passes its read position), so the regions need no
+/// slack. Compacting every lane before visiting any is the faster of
+/// the two layouts measured: in six interleaved `scan_profile` runs its
+/// first-scan absorb took 16–26% less time than reusing one
+/// `|longest set|` buffer lane by lane.
 #[derive(Debug, Default)]
 struct LaneWalk {
     /// `row[i]` = the lane mask of the item's `i`-th element.
@@ -541,8 +559,9 @@ impl LaneWalk {
     ///
     /// One gather pass loads every element's mask and ORs them; an item
     /// no lane touches costs nothing more. Each lane bit of the OR then
-    /// takes one branch-free compaction pass over the gathered row, so
-    /// the walk does not branch once per lane hit. Lanes are distinct
+    /// takes one branch-free compaction pass over the gathered row
+    /// ([`kernels::compact_lane`], vectorised on AVX2), so the walk
+    /// does not branch once per lane hit. Lanes are distinct
     /// bits, so compacting them all before the first visit sees the
     /// same hits as visiting each right after its compaction.
     fn walk(
@@ -572,12 +591,7 @@ impl LaneWalk {
         let mut counts = [0usize; 64];
         let compact = lanes_of(any).zip(self.hits.chunks_exact_mut(len));
         for ((s, region), count) in compact.zip(&mut counts) {
-            let mut c = 0;
-            for (&e, &m) in elems.iter().zip(row.iter()) {
-                region[c] = e;
-                c += ((m >> s) & 1) as usize;
-            }
-            *count = c;
+            *count = kernels::compact_lane(elems, row, s, region);
         }
         for ((s, region), &count) in lanes_of(any).zip(self.hits.chunks_exact(len)).zip(&counts) {
             let hits = &region[..count];
@@ -651,29 +665,18 @@ impl Replay<'_> {
 /// Shared by every driver over the repository that is built with
 /// [`IterCoverDriver::replaying`]: a driver looks its memoizable
 /// guesses up when it spawns them and records the live ones in
-/// [`IterCoverDriver::finish_into`]. Holds at most
-/// [`CAPACITY`](Self::CAPACITY) entries, evicting the oldest first. A
-/// memo is only valid for the repository it was filled from; drop it
-/// with the repository.
+/// [`IterCoverDriver::finish_into`]. The memo holds one entry per
+/// (solver, flags, memoizable `k`), so it needs no eviction: the
+/// service runs one solver and one flag setting, so a repository
+/// generation holds at most `log₂ n + 1` entries. A memo is only
+/// valid for the repository it was filled from; drop it with the
+/// repository.
 #[derive(Debug, Default)]
 pub struct GuessMemo {
-    entries: Mutex<MemoEntries>,
-}
-
-#[derive(Debug, Default)]
-struct MemoEntries {
-    by_key: HashMap<GuessKey, Arc<GuessRecord>>,
-    /// Keys in insertion order, oldest first.
-    order: VecDeque<GuessKey>,
+    entries: Mutex<HashMap<GuessKey, Arc<GuessRecord>>>,
 }
 
 impl GuessMemo {
-    /// The most entries a memo holds. Every query with the same
-    /// solver and flags shares one entry per memoizable `k`, so a
-    /// repository needs at most `log₂ n + 1` entries per solver and
-    /// flag combination.
-    pub const CAPACITY: usize = 1024;
-
     /// An empty memo.
     pub fn new() -> Self {
         Self::default()
@@ -681,7 +684,7 @@ impl GuessMemo {
 
     /// Recorded guesses.
     pub fn len(&self) -> usize {
-        self.lock().by_key.len()
+        self.lock().len()
     }
 
     /// `true` when nothing is recorded.
@@ -689,12 +692,12 @@ impl GuessMemo {
         self.len() == 0
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, MemoEntries> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<GuessKey, Arc<GuessRecord>>> {
         self.entries.lock().expect("guess memo poisoned")
     }
 
     fn get(&self, key: &GuessKey) -> Option<Arc<GuessRecord>> {
-        self.lock().by_key.get(key).cloned()
+        self.lock().get(key).cloned()
     }
 
     /// Records a live guess's outcome. A key already present keeps its
@@ -702,16 +705,11 @@ impl GuessMemo {
     /// checks the seed-free claim on every repeat.
     fn insert(&self, key: GuessKey, record: Arc<GuessRecord>) {
         let mut entries = self.lock();
-        if let Some(stored) = entries.by_key.get(&key) {
+        if let Some(stored) = entries.get(&key) {
             debug_assert_eq!(**stored, *record, "a seed-free guess diverged: {key:?}");
             return;
         }
-        if entries.order.len() == Self::CAPACITY {
-            let oldest = entries.order.pop_front().expect("memo at capacity");
-            entries.by_key.remove(&oldest);
-        }
-        entries.order.push_back(key);
-        entries.by_key.insert(key, record);
+        entries.insert(key, record);
     }
 }
 
@@ -756,7 +754,8 @@ impl GuessMemo {
 /// layout of the parallel branches' state, not a new algorithmic
 /// store. Besides the `n`-word mask, the walk keeps one gathered-mask
 /// row (one `u64` per element of the longest set walked) and one hit
-/// region per lane (at most `lanes × |longest set|` ids).
+/// region per lane (at most `lanes × |longest set|` ids; the vector
+/// compaction needs no slack past them).
 ///
 /// # Replay
 ///
@@ -1394,13 +1393,13 @@ mod tests {
                 );
             }
             let entries = memo.lock();
-            assert!(!entries.by_key.is_empty(), "δ={delta}");
-            for key in entries.by_key.keys() {
+            assert!(!entries.is_empty(), "δ={delta}");
+            for key in entries.keys() {
                 assert!(sample_size_for(&cfg, key.k, n, m) >= n, "δ={delta} {key:?}");
             }
             if delta == 0.25 {
                 // n^δ ≈ 4.8 at n = 512, so only k ≥ 107 are seed-free.
-                assert!(entries.by_key.keys().all(|key| key.k >= 128));
+                assert!(entries.keys().all(|key| key.k >= 128));
             }
         }
     }
@@ -1461,24 +1460,6 @@ mod tests {
                 assert_eq!(observe(driver, &root, &b), solo, "{label}");
             }
         }
-    }
-
-    #[test]
-    fn the_memo_holds_at_most_its_capacity_oldest_out_first() {
-        let memo = GuessMemo::new();
-        let record = Arc::new(GuessRecord {
-            cover: None,
-            passes: 1,
-            peak: 0,
-            traces: Vec::new(),
-        });
-        let key = |k| GuessKey::new(&IterSetCoverConfig::default(), k);
-        for k in 0..GuessMemo::CAPACITY + 10 {
-            memo.insert(key(k), Arc::clone(&record));
-        }
-        assert_eq!(memo.len(), GuessMemo::CAPACITY);
-        assert!(memo.get(&key(9)).is_none(), "the oldest went first");
-        assert!(memo.get(&key(10)).is_some());
     }
 
     /// The per-hit push loop the gathered-mask walk replaced, kept as
@@ -1559,6 +1540,60 @@ mod tests {
             }
         }
         assert_eq!(edge_lanes_hit, [true, true]);
+    }
+
+    /// A heavy pick that takes an element of a projection stored
+    /// before it: that projection's gain is below its length, so the
+    /// oracle must count it. With n = 8 and δ = 1 the sample is the
+    /// whole universe, and guess k = 2 has threshold 4. It stores
+    /// {0, 1} and {2, 3, 4}, picks {4, 5, 6, 7} as heavy, then stores
+    /// {0, 2} ∩ L = {0, 2}. Counted, the first two tie at gain 2 and
+    /// the oracle picks {0, 1} first. Taking the stored length 3 as
+    /// the gain of {2, 3, 4} would pick it first.
+    #[test]
+    fn a_heavy_pick_that_shrinks_a_stored_projection_keeps_its_gain_counted() {
+        let system = sc_setsystem::SetSystem::from_sets(
+            8,
+            vec![vec![0, 1], vec![2, 3, 4], vec![4, 5, 6, 7], vec![0, 2]],
+        );
+        let root = SetStream::new(&system);
+        let cfg = IterSetCoverConfig {
+            delta: 1.0,
+            ..Default::default()
+        };
+        let meter = SpaceMeter::new();
+        let mut driver = IterCoverDriver::new(&cfg, &root, &meter);
+        while driver.wants_scan() {
+            driver.begin_scan();
+            if driver.pass_index() == 1 {
+                assert!(driver.lanes.len() > 1, "pass 1 takes the shared walk");
+            }
+            driver.absorb_items(root.shared_pass(&driver.participants()));
+            driver.end_scan();
+        }
+        for guess in &driver.guesses {
+            let (stream, meter) = (root.fork(), SpaceMeter::new());
+            let mut traces = Vec::new();
+            let sequential = crate::iter_set_cover::run_guess(
+                &cfg,
+                Goal::FULL,
+                guess.k,
+                &stream,
+                &meter,
+                &mut traces,
+            );
+            assert_eq!(guess.result, sequential, "k={}: executors differ", guess.k);
+            assert_eq!(guess.traces, traces, "k={}", guess.k);
+        }
+        let k2 = &driver.guesses[1];
+        assert_eq!(k2.k, 2);
+        let trace = k2.traces[0];
+        assert_eq!((trace.heavy_picked, trace.small_stored), (1, 3));
+        assert_eq!(
+            k2.result,
+            Some(vec![2, 0, 1]),
+            "heavy pick, then {{0,1}}, {{2,3,4}}"
+        );
     }
 
     #[test]

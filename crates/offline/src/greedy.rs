@@ -44,12 +44,23 @@ use std::collections::BinaryHeap;
 /// assert_eq!(cover, vec![0, 2]);
 /// ```
 pub fn greedy(sets: &[BitSet], target: &BitSet) -> Option<Vec<usize>> {
+    let count = |i: usize, uncovered: &BitSet| sets[i].intersection_count(uncovered);
     greedy_bucket_core(
-        sets.len(),
-        |i, uncovered| sets[i].intersection_count(uncovered),
+        counted_gains(sets.len(), count, target),
+        count,
         |i, uncovered| uncovered.difference_with(&sets[i]),
         target,
     )
+}
+
+/// Every set's gain against `target`, counted — the initial gains of a
+/// caller that knows none of them.
+fn counted_gains(
+    num_sets: usize,
+    count: impl Fn(usize, &BitSet) -> usize,
+    target: &BitSet,
+) -> Vec<usize> {
+    (0..num_sets).map(|i| count(i, target)).collect()
 }
 
 /// Greedy set cover over *sparse* sets given as sorted id slices —
@@ -67,9 +78,56 @@ pub fn greedy_slices<'a, F>(num_sets: usize, get: F, target: &BitSet) -> Option<
 where
     F: Fn(usize) -> &'a [u32],
 {
+    greedy_slices_known_from(num_sets, get, target, num_sets)
+}
+
+/// [`greedy_slices`] for a caller that already knows most initial
+/// gains: every set at index `known_from` or later lies inside
+/// `target`, so its gain is its length, and only the sets before
+/// `known_from` are counted. The cover is the one [`greedy_slices`]
+/// returns.
+///
+/// This is the shape of `iterSetCover`'s pass 1: a projection `r ∩ L`
+/// stored after the iteration's last heavy pick still lies inside the
+/// final `L`, because only heavy picks shrink `L` during the pass.
+///
+/// # Contract
+///
+/// The caller vouches for `get(i) ⊆ target` for every `i ≥
+/// known_from`. A debug build recounts every supplied gain and panics
+/// on a mismatch. A release build trusts them: an overstated gain is
+/// still an upper bound, so the result is a valid cover, but ties can
+/// resolve differently, so it may not be [`greedy_slices`]' cover.
+///
+/// # Examples
+///
+/// ```
+/// use sc_bitset::BitSet;
+/// use sc_offline::{greedy_slices, greedy_slices_known_from};
+///
+/// let sets: [&[u32]; 3] = [&[0, 1, 5], &[1, 2], &[3, 4]];
+/// let target = BitSet::from_iter(6, [1, 2, 3, 4]);
+/// // Sets 1 and 2 lie inside the target; set 0 does not.
+/// let known = greedy_slices_known_from(3, |i| sets[i], &target, 1);
+/// assert_eq!(known, greedy_slices(3, |i| sets[i], &target));
+/// assert_eq!(known, Some(vec![1, 2]));
+/// ```
+pub fn greedy_slices_known_from<'a, F>(
+    num_sets: usize,
+    get: F,
+    target: &BitSet,
+    known_from: usize,
+) -> Option<Vec<usize>>
+where
+    F: Fn(usize) -> &'a [u32],
+{
+    let count = |i: usize, uncovered: &BitSet| uncovered.intersection_count_slice(get(i));
+    let known_from = known_from.min(num_sets);
+    let mut gains = counted_gains(known_from, count, target);
+    gains.extend((known_from..num_sets).map(|i| get(i).len()));
     greedy_bucket_core(
-        num_sets,
-        |i, uncovered| uncovered.intersection_count_slice(get(i)),
+        gains,
+        count,
         |i, uncovered| uncovered.remove_sorted_slice(get(i)),
         target,
     )
@@ -83,18 +141,30 @@ where
 /// when it merely ties, the popped entry wins, exactly as the heap
 /// version kept it. `multiplex_equivalence` and `service_equivalence`
 /// depend on covers staying bit-identical through this swap.
+///
+/// `gains[i]` is set `i`'s gain against `target`, supplied by the
+/// caller (counted, or known without counting). It must be exact:
+/// the tie rule above reads the queued gains, so an overstated one
+/// can change which of two equal sets wins. A debug build recounts
+/// every supplied gain.
 fn greedy_bucket_core(
-    num_sets: usize,
+    gains: Vec<usize>,
     count: impl Fn(usize, &BitSet) -> usize,
     remove: impl Fn(usize, &mut BitSet),
     target: &BitSet,
 ) -> Option<Vec<usize>> {
+    debug_assert!(
+        gains
+            .iter()
+            .enumerate()
+            .all(|(i, &g)| g == count(i, target)),
+        "a supplied initial gain differs from its count"
+    );
     let mut uncovered = target.clone();
     let mut solution = Vec::new();
     if uncovered.is_empty() {
         return Some(solution);
     }
-    let gains: Vec<usize> = (0..num_sets).map(|i| count(i, &uncovered)).collect();
     let mut queue = BucketQueue::new(&gains);
     while !uncovered.is_empty() {
         let (stale_gain, idx) = queue.pop()?;
@@ -290,6 +360,17 @@ mod tests {
             let b = greedy_slices(raw.len(), |i| raw[i].as_slice(), &target).unwrap();
             assert_eq!(a, b, "sparse and dense greedy must agree");
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "supplied initial gain")]
+    fn an_overstated_known_gain_panics_in_debug() {
+        // Set 0 reaches outside the target, so its length overstates
+        // its gain: the caller broke the contract.
+        let raw = [vec![0u32, 1, 2]];
+        let target = BitSet::from_iter(4, [0, 1]);
+        let _ = greedy_slices_known_from(1, |i| raw[i].as_slice(), &target, 0);
     }
 
     #[test]

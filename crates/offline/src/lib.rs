@@ -36,7 +36,9 @@ mod solver;
 
 pub use bucket_queue::BucketQueue;
 pub use exact::{exact, ExactOutcome};
-pub use greedy::{greedy, greedy_heap, greedy_slices, greedy_slices_heap};
+pub use greedy::{
+    greedy, greedy_heap, greedy_slices, greedy_slices_heap, greedy_slices_known_from,
+};
 pub use lp::{
     fractional_coverage, fractional_mwu, randomized_rounding, FractionalCover, RoundedCover,
 };

@@ -6,11 +6,16 @@
 //! re-insert rule; these properties pin that on random instances plus
 //! the adversarial shapes where an ordering bug would hide: all-ties
 //! families (every set equal), zero-gain sets (disjoint from the
-//! target), and infeasible instances (`None` must match too).
+//! target), and infeasible instances (`None` must match too). The
+//! known-gain entry point, which takes the lengths of the sets inside
+//! the target as their gains instead of counting them, is pinned to
+//! the counting one the same way.
 
 use proptest::prelude::*;
 use sc_bitset::BitSet;
-use sc_offline::{greedy, greedy_heap, greedy_slices, greedy_slices_heap};
+use sc_offline::{
+    greedy, greedy_heap, greedy_slices, greedy_slices_heap, greedy_slices_known_from,
+};
 
 const UNIVERSE: usize = 96;
 
@@ -49,6 +54,31 @@ proptest! {
             greedy_slices(raw.len(), |i| raw[i].as_slice(), &target),
             greedy_slices_heap(raw.len(), |i| raw[i].as_slice(), &target)
         );
+    }
+
+    #[test]
+    fn known_gains_match_counting(raw in family(), tgt in sorted_set(), cut in 0usize..32) {
+        // Sets from `known_from` on are clipped to the target, so their
+        // lengths are their exact gains, as for projections stored
+        // after a pass's last heavy pick; the earlier ones may reach
+        // outside it and are counted.
+        let target = BitSet::from_iter(UNIVERSE, tgt.iter().copied());
+        let known_from = cut.min(raw.len());
+        let sets: Vec<Vec<u32>> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let inside = s.iter().copied().filter(|&e| target.contains(e));
+                if i < known_from { s.clone() } else { inside.collect() }
+            })
+            .collect();
+        let get = |i: usize| sets[i].as_slice();
+        let counted = greedy_slices(sets.len(), get, &target);
+        prop_assert_eq!(
+            greedy_slices_known_from(sets.len(), get, &target, known_from),
+            counted.clone()
+        );
+        prop_assert_eq!(greedy_slices_heap(sets.len(), get, &target), counted);
     }
 
     #[test]

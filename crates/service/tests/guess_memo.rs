@@ -132,8 +132,8 @@ fn a_flood_of_distinct_deltas_shares_one_entry_per_guess() {
     // n = 64 and δ just under 1: every one of the 7 guesses of every
     // query samples its whole residual. A seed-free guess's outcome
     // does not depend on δ, and neither does its memo key, so 200
-    // distinct δ values record 7 entries, not 1400. (Distinct δ cannot
-    // fill the memo; sc-core's unit tests pin its cap.)
+    // distinct δ values record 7 entries, not 1400: the memo holds one
+    // entry per guess, which bounds its size without any eviction.
     let inst = gen::planted(64, 96, 4, 3);
     let service = service(&inst.system);
     let specs: Vec<QuerySpec> = (0..200)
