@@ -1,7 +1,7 @@
 //! E19 — in-flight query coalescing: K identical queries, one job.
 //!
 //! Not a paper artifact: this experiment measures the serving layer's
-//! in-flight coalescing lever (`ServiceConfig::coalesce`). Scan
+//! in-flight coalescing, which is always on. Scan
 //! sharing (E17) already makes N identical concurrent queries cost one
 //! query's *physical scans*; coalescing makes them cost one query's
 //! *CPU* as well — duplicates of an in-flight spec attach to its job
@@ -10,13 +10,10 @@
 //! **coalescing ratio** (queries per job actually run), recorded in
 //! `BENCH_coalesce.json`.
 //!
-//! Four workloads against one planted repository:
+//! Three workloads against one planted repository:
 //!
-//! * **identical, coalesce on (batch)** — K copies of one spec: one
-//!   job, K−1 followers, ratio K.
-//! * **identical, coalesce off (batch)** — the same workload on the
-//!   default config: K jobs (scan sharing still bounds the physical
-//!   scans, but every job pays per-scan CPU), ratio 1.
+//! * **identical (batch)** — K copies of one spec: one job, K−1
+//!   followers, ratio K.
 //! * **duplicate groups (batch)** — G distinct specs × D duplicates
 //!   interleaved: one job per distinct spec, ratio D.
 //! * **staggered dup burst (serve)** — the head opens a fresh epoch
@@ -24,6 +21,9 @@
 //!   duplicates arrive while that job is in flight and coalesce
 //!   mid-stream: still one job, and the followers' queue waits
 //!   collapse to the window's reaction time.
+//!
+//! The uncoalesced contrast row (K copies as K jobs) is gone with the
+//! switch that selected it; its last committed cells are a table note.
 //!
 //! The queries / jobs / coalesced / scans / ratio columns are
 //! deterministic given the seeds (the experiment asserts the
@@ -61,17 +61,13 @@ fn row_cells(
     ]
 }
 
-fn coalescing(system: &SetSystem) -> Service {
+fn fresh(system: &SetSystem) -> Service {
     ServiceBuilder::new()
-        .config(ServiceConfig {
-            coalesce: true,
-            ..Default::default()
-        })
         .tenant("default", system.clone())
         .build()
 }
 
-/// Runs the four coalescing workloads and tabulates jobs, followers,
+/// Runs the three coalescing workloads and tabulates jobs, followers,
 /// physical scans, and the coalescing ratio.
 pub fn coalesce(scale: Scale) -> Table {
     let mut table = Table::new(
@@ -91,44 +87,27 @@ pub fn coalesce(scale: Scale) -> Table {
     let (dups, groups) = scale.pick((8, 4), (16, 4));
     let inst = gen::planted(n, m, k, 42);
 
-    // Workload 1: K identical queries, coalescing on — one job.
+    // Workload 1: K identical queries — one job.
     let specs = vec![iter(7); dups];
-    let service = coalescing(&inst.system);
+    let service = fresh(&inst.system);
     let (outcomes, metrics) = service.run_batch(&specs);
     assert_eq!(metrics.jobs, 1, "K identical in-flight queries, one job");
     assert_eq!(metrics.coalesced, dups - 1);
     assert_eq!(metrics.physical_scans, outcomes[0].logical_passes);
     assert!(outcomes.iter().all(|o| o.cover == outcomes[0].cover));
     table.row(row_cells(
-        "identical, coalesce on (batch)",
+        "identical (batch)",
         specs.len(),
         metrics.physical_scans.to_string(),
         &metrics,
     ));
 
-    // Workload 2: the same duplicates without coalescing — K jobs pay
-    // K× the per-scan CPU even though scan sharing bounds the walks.
-    let service = ServiceBuilder::new()
-        .config(ServiceConfig::default())
-        .tenant("default", inst.system.clone())
-        .build();
-    let (outcomes, metrics) = service.run_batch(&specs);
-    assert_eq!(metrics.jobs, dups);
-    assert_eq!(metrics.coalesced, 0);
-    assert_eq!(metrics.physical_scans, outcomes[0].logical_passes);
-    table.row(row_cells(
-        "identical, coalesce off (batch)",
-        specs.len(),
-        metrics.physical_scans.to_string(),
-        &metrics,
-    ));
-
-    // Workload 3: G distinct specs × D duplicates, interleaved the way
+    // Workload 2: G distinct specs × D duplicates, interleaved the way
     // concurrent clients would submit them.
     let specs: Vec<QuerySpec> = (0..(groups * dups) as u64)
         .map(|i| iter(i % groups as u64))
         .collect();
-    let service = coalescing(&inst.system);
+    let service = fresh(&inst.system);
     let (outcomes, metrics) = service.run_batch(&specs);
     assert_eq!(metrics.jobs, groups, "one job per distinct spec");
     assert_eq!(metrics.coalesced, groups * (dups - 1));
@@ -141,7 +120,7 @@ pub fn coalesce(scale: Scale) -> Table {
         &metrics,
     ));
 
-    // Workload 4: staggered duplicates in serve mode — the head opens
+    // Workload 3: staggered duplicates in serve mode — the head opens
     // a fresh epoch group (the admission window holds its first scan
     // open until company arrives), the duplicates coalesce mid-stream.
     // The leader cannot retire before the first duplicate arrives (the
@@ -149,7 +128,6 @@ pub fn coalesce(scale: Scale) -> Table {
     // even though the timings are not.
     let service = ServiceBuilder::new()
         .config(ServiceConfig {
-            coalesce: true,
             admission_window: Duration::from_secs(30),
             ..Default::default()
         })
@@ -177,11 +155,16 @@ pub fn coalesce(scale: Scale) -> Table {
     ));
 
     table.note(format!(
-        "planted n={n}, m={m}, k={k}; {dups} duplicates per spec, {groups} groups in workload 3"
+        "planted n={n}, m={m}, k={k}; {dups} duplicates per spec, {groups} groups in workload 2"
     ));
     table.note("ratio = queries / jobs actually run (followers ride their leader's scans and CPU)");
     table.note(
         "serve burst: head submitted first, duplicates 30 ms later coalesce onto its in-flight job",
+    );
+    table.note(
+        "recorded baseline (until coalescing became unconditional; full scale, available_parallelism 2): \
+         the same 16 identical queries uncoalesced — 16 jobs, 0 coalesced, 5 scans, ratio 1.0x, \
+         p50 1048.6 ms, 19.6 qps (the coalesced row of that run: p50 65.5 ms, 346.6 qps)",
     );
     table.note("timing columns (… ms, qps) are load-dependent; repro --check skips them");
     table

@@ -158,8 +158,16 @@ pub fn interleave(scale: Scale) -> Table {
             "wait blowup",
         ],
     );
-    let (k, q) = scale.pick((3usize, 8usize), (8, 6));
-    let (n, m, sets_k) = scale.pick((1 << 8, 1 << 9, 8), (1 << 10, 1 << 11, 16));
+    // The flood must outlast one cold probe, or the mid-flood row
+    // tests luck, not fairness: a quick flood of 3 × 8 queries on
+    // n = 256 drained in ~8 ms, inside one scheduling hiccup of a
+    // loaded 2-core box, and up to half the runs found it finished
+    // before the first cold answer. Both scales therefore flood the
+    // full-scale repository shape, and quick gives each of its fewer
+    // lanes more queries, so its flood runs 60–90 ms against a cold
+    // probe's few-ms wait.
+    let (k, q) = scale.pick((3usize, 24usize), (8, 6));
+    let (n, m, sets_k) = (1 << 10, 1 << 11, 16);
     let insts: Vec<Instance> = (0..k)
         .map(|t| gen::planted(n, m, sets_k, 100 + t as u64))
         .collect();

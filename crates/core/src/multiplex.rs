@@ -932,8 +932,20 @@ impl<'a> IterCoverDriver<'a> {
     /// `s`, the order they are pushed here, which is guess order. The
     /// mask is charged to nobody: the walk keeps it equal to the lanes'
     /// own residuals (a debug build checks every hit list against
-    /// them). `u64` lanes always suffice: there are at most
+    /// them), except that a cleanup lane past its goal drops its bits
+    /// as they hit. `u64` lanes always suffice: there are at most
     /// log2(usize::MAX) + 1 = 64 guesses.
+    ///
+    /// Why a lone lane goes solo: on a 2-core AVX2 machine, six runs
+    /// of a paired in-process `scan_profile` A/B (16 rounds × 100
+    /// queries each, order alternating), made with swept cleanup lanes
+    /// already leaving the mask, put a one-lane walk at −0.09 to
+    /// +0.05 ms per query of solo compute against this path, inside
+    /// every case's IQR (0.03–0.22 ms). But it lost 0.017–0.023 ms on
+    /// `tenants-closed` partial's scan-5 absorb in all six runs
+    /// (IQR ≤ 0.010 ms; the solo path takes 0.004 ms there), because
+    /// the walk still gathers every item's masks after the lane's
+    /// goal is met.
     pub fn begin_scan(&mut self) {
         self.scanning.clear();
         self.lanes.clear();
@@ -1037,6 +1049,13 @@ impl<'a> IterCoverDriver<'a> {
                         }
                     }
                     Phase::Cleanup => {
+                        if guess.swept {
+                            // Past the goal the lane emits nothing
+                            // more: its hits leave the mask, so later
+                            // items stop compacting it, and its mask
+                            // no longer tracks its stragglers.
+                            return true;
+                        }
                         debug_assert!(
                             {
                                 let live = guess.live.as_ref().expect("live until finish").get();
@@ -1046,9 +1065,7 @@ impl<'a> IterCoverDriver<'a> {
                             "lane {s}'s mask drifted from guess k={}'s stragglers",
                             guess.k
                         );
-                        // Past the goal the lane still hits, but emits
-                        // nothing more.
-                        !guess.swept && guess.cleanup_hit(id, elems)
+                        guess.cleanup_hit(id, elems)
                     }
                     _ => unreachable!("only pass-1 and cleanup guesses become lanes"),
                 }

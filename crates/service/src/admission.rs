@@ -1,19 +1,19 @@
 //! Pipeline stage 1 — **admission**: intake from the submission
-//! channel, cache probe, coalesce-or-build disposition.
+//! channel and the one disposition rule.
 //!
 //! Every submission is disposed of exactly once, through
-//! [`Service::admit_or_answer`]: answered from the outcome cache in
-//! zero scans, attached to an identical in-flight job as a follower
-//! ([`ServiceConfig::coalesce`](crate::ServiceConfig)), or built into a
-//! fresh [`Inflight`] job the scheduler owns until retirement. The
-//! [`Intake`] wraps the channel with the two pieces of state admission
-//! threads through the pipeline: a *backlog* of query submissions
-//! already pulled but deferred (a full inflight window, or a whole
-//! batch submitted up front), and the pending [`ReloadRequest`] that
-//! ends the current repository generation — once one is captured, no
-//! further channel pulls happen until the scheduler swaps generations,
-//! so every query keeps running against the repository it was
-//! submitted under.
+//! [`Service::dispose`]: answered from the outcome cache in zero
+//! scans, attached to an identical in-flight job as a follower, built
+//! into a fresh [`Inflight`] job the scheduler owns until retirement,
+//! or deferred to a later boundary when the inflight window is full.
+//! The [`Intake`] wraps the channel with the two pieces of state
+//! admission threads through the pipeline: a *backlog* of query
+//! submissions already pulled but deferred (a full inflight window, or
+//! a whole batch submitted up front), and the pending
+//! [`ReloadRequest`] that ends the current repository generation —
+//! once one is captured, no further channel pulls happen until the
+//! scheduler swaps generations, so every query keeps running against
+//! the repository it was submitted under.
 
 use crate::job::{make_job, CoverJob};
 use crate::metrics::ServiceMetrics;
@@ -89,9 +89,8 @@ pub(crate) struct Inflight<'a> {
     pub admitted: Instant,
     /// Where retirement delivers the outcome (the submitter's ticket).
     pub reply: ReplyTx<QueryOutcome>,
-    /// Identical queries coalesced onto this job
-    /// ([`ServiceConfig::coalesce`](crate::ServiceConfig)); retirement
-    /// fans a reply out per follower.
+    /// Identical queries coalesced onto this job; retirement fans a
+    /// reply out per follower.
     pub followers: Vec<Follower>,
 }
 
@@ -105,16 +104,18 @@ pub(crate) struct Follower {
     pub reply: ReplyTx<QueryOutcome>,
 }
 
-/// How one submission was disposed of by
-/// [`Service::admit_or_answer`].
-pub(crate) enum Admitted<'a> {
-    /// A fresh job the caller must admit into the scan epochs.
-    Job(Inflight<'a>),
+/// How [`Service::dispose`] settled one submission.
+pub(crate) enum Disposition<'a> {
+    /// Answered immediately from the outcome cache.
+    Answered,
     /// Attached to an identical in-flight job as a follower; that
     /// job's retirement answers it.
     Coalesced,
-    /// Answered immediately from the outcome cache.
-    Answered,
+    /// A fresh job the caller must admit into the scan epochs.
+    Job(Inflight<'a>),
+    /// Neither a slot nor an in-flight leader: the submission waits
+    /// for a later boundary, untouched (no ledger count yet).
+    Deferred(QuerySubmission),
 }
 
 /// A lane's intake: the submission channel plus the deferred-work
@@ -280,66 +281,57 @@ pub(crate) struct PendingArrival {
 }
 
 impl Service {
-    /// Attaches a query to an identical in-flight job as a follower
-    /// (when [`ServiceConfig::coalesce`](crate::ServiceConfig) is on
-    /// and such a job exists); `attached` ends its queue wait. A
-    /// coalesced query is answered by that job's retirement; without
-    /// a leader the submission comes back to become a job of its own.
-    /// The cache is consulted *before* this (a retired answer in zero
-    /// scans beats waiting for an in-flight job), so coalescing only
-    /// ever sees cache misses.
-    pub(crate) fn try_coalesce(
-        &self,
-        gen: &RepositoryGeneration,
-        sub: QuerySubmission,
-        attached: Instant,
-        inflight: &mut [Inflight<'_>],
-    ) -> Result<(), QuerySubmission> {
-        if !self.config().coalesce {
-            return Err(sub);
-        }
-        let Some(leader) = inflight.iter_mut().find(|fl| fl.spec == sub.spec) else {
-            return Err(sub);
-        };
-        debug_assert_eq!(
-            leader.spec.to_string(),
-            sub.spec.to_string(),
-            "coalesce keys must agree on the canonical spec"
-        );
-        gen.tenant.counters().bump(LedgerEvent::Coalesced);
-        sc_telemetry::event(EventKind::Coalesced, sub.id, gen.id, 0, 0);
-        leader.followers.push(Follower {
-            id: sub.id,
-            submitted: sub.submitted,
-            attached,
-            reply: sub.reply,
-        });
-        Ok(())
-    }
-
-    /// Answers one submission from the cache (delivering the outcome
-    /// immediately), coalesces it onto an identical in-flight job, or
-    /// builds its job; only the last case hands work back to the
-    /// caller. `at` is the admission instant recorded for the query —
-    /// "now" at an epoch boundary, the drain instant for an arrival
-    /// committed to an in-flight scan.
-    pub(crate) fn admit_or_answer<'g>(
+    /// Disposes of one submission — the one admission rule of both the
+    /// epoch boundary and the mid-scan splice. With `room` in the
+    /// inflight window it runs cache → leader → fresh job: a retired
+    /// answer in zero scans beats waiting on an identical in-flight
+    /// job (a *shared* cache can hold one while a twin job is in
+    /// flight), and a leader beats running the query again. Without
+    /// room only a query with a leader is settled — cache first, else
+    /// as that leader's follower; anything else comes back
+    /// [`Deferred`](Disposition::Deferred). The side-effecting cache
+    /// probe runs only when disposal is certain, so a deferred
+    /// submission is never counted as a miss twice. `at` is the
+    /// admission instant: "now" at an epoch boundary, the drain
+    /// instant for an arrival committed to an in-flight scan; it ends
+    /// a job's or follower's queue wait.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn dispose<'g>(
         &self,
         gen: &'g RepositoryGeneration,
         sub: QuerySubmission,
         root: &SetStream<'g>,
         inflight: &mut [Inflight<'g>],
-        metrics: &mut ServiceMetrics,
+        room: bool,
         at: Instant,
-    ) -> Admitted<'g> {
+        metrics: &mut ServiceMetrics,
+    ) -> Disposition<'g> {
+        let leader = inflight.iter().position(|fl| fl.spec == sub.spec);
+        if !room && leader.is_none() {
+            return Disposition::Deferred(sub);
+        }
         let Err(sub) = self.answer_from_cache(gen, sub, metrics) else {
-            return Admitted::Answered;
+            return Disposition::Answered;
         };
-        let Err(sub) = self.try_coalesce(gen, sub, at, inflight) else {
-            return Admitted::Coalesced;
-        };
+        if let Some(leader) = leader {
+            let leader = &mut inflight[leader];
+            debug_assert_eq!(
+                leader.spec.to_string(),
+                sub.spec.to_string(),
+                "coalesce keys must agree on the canonical spec"
+            );
+            gen.tenant.counters().bump(LedgerEvent::Coalesced);
+            sc_telemetry::event(EventKind::Coalesced, sub.id, gen.id, 0, 0);
+            leader.followers.push(Follower {
+                id: sub.id,
+                submitted: sub.submitted,
+                attached: at,
+                reply: sub.reply,
+            });
+            return Disposition::Coalesced;
+        }
         self.count_job(gen);
-        Admitted::Job(Inflight {
+        Disposition::Job(Inflight {
             id: sub.id,
             spec: sub.spec,
             job: make_job(&sub.spec, gen, root),
@@ -348,36 +340,6 @@ impl Service {
             reply: sub.reply,
             followers: Vec::new(),
         })
-    }
-
-    /// Disposes of one submission that found the inflight window full:
-    /// a duplicate of an in-flight leader still answers — from the
-    /// cache first (a *shared* cache can hold a retired answer even
-    /// while a twin job is in flight, and zero scans beats waiting on
-    /// it), else by coalescing onto the leader. Returns `Err(sub)`
-    /// when there is no leader (the submission must wait for a slot);
-    /// the side-effecting cache lookup only runs when a leader
-    /// guarantees disposal either way, so a deferred submission is
-    /// never counted as a miss twice. `Ok(true)` means the query
-    /// coalesced (the window's company arrived).
-    pub(crate) fn dispose_past_full_window(
-        &self,
-        gen: &RepositoryGeneration,
-        sub: QuerySubmission,
-        inflight: &mut [Inflight<'_>],
-        metrics: &mut ServiceMetrics,
-        attached: Instant,
-    ) -> Result<bool, QuerySubmission> {
-        let has_leader = self.config().coalesce && inflight.iter().any(|fl| fl.spec == sub.spec);
-        if !has_leader {
-            return Err(sub);
-        }
-        let Err(sub) = self.answer_from_cache(gen, sub, metrics) else {
-            return Ok(false);
-        };
-        let coalesced = self.try_coalesce(gen, sub, attached, inflight);
-        debug_assert!(coalesced.is_ok(), "the leader cannot vanish mid-disposal");
-        Ok(true)
     }
 
     /// Answers the cache hits among the arrivals drained at indices
@@ -495,7 +457,7 @@ mod tests {
         QuerySpec::IterCover { delta: 0.5, seed }
     }
 
-    /// Two tenants, coalescing on, a cache; the default tenant's jobs
+    /// Two tenants and a cache; the default tenant's jobs
     /// run for several passes, so a duplicate submitted right behind
     /// its leader finds it still in flight.
     fn service() -> Service {
@@ -503,7 +465,6 @@ mod tests {
             .tenant("default", gen::planted(1024, 2048, 16, 3).system)
             .tenant("b", gen::planted(64, 128, 4, 5).system)
             .cache_capacity(64)
-            .coalesce(true)
             .build()
     }
 
@@ -555,7 +516,7 @@ mod tests {
             let first = woken(&wake, || t.try_wait()).expect("answered");
             assert!(!first.cached && !first.coalesced);
             // An idle lane pulls the repeat at the boundary: the cache
-            // hit in `admit_or_answer`.
+            // hit in `dispose`.
             let t = h.submit(iter(1)).expect("submit");
             assert!(woken(&wake, || t.try_wait()).expect("answered").cached);
             // A follower's reply in retirement. The leader's ticket is
@@ -619,15 +580,61 @@ mod tests {
             reply: leader.reply,
             followers: Vec::new(),
         }];
-        let disposed = service.dispose_past_full_window(
+        // No room, but a leader: the full-window path probes the cache.
+        let disposed = service.dispose(
             &gen,
             sub,
+            &root,
             &mut inflight,
-            &mut metrics,
+            false,
             Instant::now(),
+            &mut metrics,
         );
-        assert!(matches!(disposed, Ok(false)), "answered from the cache");
+        assert!(
+            matches!(disposed, Disposition::Answered),
+            "answered from the cache"
+        );
         assert!(woken(&wake, || rx.try_recv().ok()).cached);
+    }
+
+    /// Without room, a submission with no in-flight leader comes back
+    /// untouched (no cache probe, no count); one with a leader on a
+    /// cache miss follows it. With room, a fresh spec becomes a job.
+    #[test]
+    fn dispose_defers_only_what_has_neither_room_nor_leader() {
+        let service = service();
+        let gen = service.generation();
+        let root = SetStream::new(&gen.system);
+        let mut metrics = ServiceMetrics::default();
+        let counters = gen.tenant.counters();
+        let mut inflight = Vec::new();
+        let mut dispose = |sub, room, inflight: &mut Vec<_>| match service.dispose(
+            &gen,
+            sub,
+            &root,
+            inflight,
+            room,
+            Instant::now(),
+            &mut metrics,
+        ) {
+            Disposition::Job(fl) => {
+                inflight.push(fl);
+                "job"
+            }
+            Disposition::Deferred(_) => "deferred",
+            Disposition::Coalesced => "coalesced",
+            Disposition::Answered => "answered",
+        };
+        assert_eq!(dispose(unanswered(1), true, &mut inflight), "job");
+        assert_eq!(dispose(unanswered(2), false, &mut inflight), "deferred");
+        assert_eq!(
+            counters.get(LedgerEvent::CacheMiss),
+            1,
+            "the deferral probed nothing"
+        );
+        assert_eq!(dispose(unanswered(1), false, &mut inflight), "coalesced");
+        assert_eq!(inflight[0].followers.len(), 1);
+        assert_eq!(counters.get(LedgerEvent::Coalesced), 1);
     }
 
     /// A submission whose ticket is dropped: the drain test looks only

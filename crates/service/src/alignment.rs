@@ -26,7 +26,7 @@
 //! fan-out already burned most of it and the epoch thread idles only
 //! for the remainder.
 
-use crate::admission::{Admitted, Inflight, Intake, PendingArrival};
+use crate::admission::{Disposition, Inflight, Intake, PendingArrival};
 use crate::metrics::ServiceMetrics;
 use crate::service::Service;
 use crate::tenants::{LedgerEvent, RepositoryGeneration};
@@ -58,12 +58,13 @@ impl<'a> EpochState<'a> {
 /// boundary (after the fan-out, whose workers already ran the original
 /// riders' `end_scan`).
 ///
-/// Each arrival is disposed of in order: cache hits answer immediately,
-/// duplicates coalesce onto their in-flight leader, and a fresh job —
-/// room in the inflight window permitting — joins the scan it was
-/// drained during: `begin_scan`, [`ScanLedger::join`] (logging its
-/// logical pass against the scan's pass tag, no physical walk), then
-/// the zero-copy replay of the feed, then its own `end_scan`, so it
+/// Each arrival is disposed of in order by [`Service::dispose`]: cache
+/// hits answer immediately, duplicates coalesce onto their in-flight
+/// leader, and a fresh job — room in the inflight window permitting —
+/// joins the scan it was drained during: `begin_scan`,
+/// [`ScanLedger::join`] (logging its logical pass against the scan's
+/// pass tag, no physical walk), then the zero-copy replay of the feed,
+/// then its own `end_scan`, so it
 /// leaves the splice indistinguishable from a job that was in the
 /// original participant list. Its admission instant is the drain
 /// instant — the moment the scheduler committed the in-flight scan to
@@ -98,35 +99,20 @@ pub(crate) fn splice_pending<'g>(
         for arrival in pending.drain(..) {
             let PendingArrival { sub, drained } = arrival;
             let room = state.inflight.len() + parked.len() < gen.tenant.quota();
-            if !room {
-                // Only a fresh job needs a slot: a duplicate of an
-                // in-flight leader is still disposed of past the full
-                // window — cache first, else as a follower. Anything
-                // else waits at the next boundary.
-                match service.dispose_past_full_window(
-                    gen,
-                    sub,
-                    &mut state.inflight,
-                    metrics,
-                    drained,
-                ) {
-                    Ok(true) => deadline = None,
-                    Ok(false) => {}
-                    Err(sub) => intake.backlog.push_back(sub),
-                }
-                continue;
-            }
-            match service.admit_or_answer(gen, sub, root, &mut state.inflight, metrics, drained) {
-                Admitted::Answered => {
+            match service.dispose(gen, sub, root, &mut state.inflight, room, drained, metrics) {
+                Disposition::Answered => {
                     // A cache hit joined no scan; the window (if still
                     // open) keeps waiting for a real joiner.
                 }
-                Admitted::Coalesced => {
+                Disposition::Coalesced => {
                     // The company the window waited for arrived (at
                     // zero cost): stop holding the boundary open.
                     deadline = None;
                 }
-                Admitted::Job(mut fl) => {
+                // A fresh job that found no slot waits at the next
+                // boundary.
+                Disposition::Deferred(sub) => intake.backlog.push_back(sub),
+                Disposition::Job(mut fl) => {
                     if fl.job.wants_scan() {
                         debug_assert_eq!(
                             fl.job.next_pass(),

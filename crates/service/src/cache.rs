@@ -24,10 +24,10 @@
 //! run that populated it — the `outcome_cache` integration test pins
 //! this together with the zero-physical-scan guarantee.
 //!
-//! Eviction is pluggable ([`EvictionPolicy`]): FIFO (insertion order —
-//! the batch default, no bookkeeping on the hit path) or LRU (hits
-//! refresh the entry — what `sctool serve` defaults to, since serving
-//! workloads skew toward a hot working set). Entries of a repository
+//! Eviction is pluggable ([`EvictionPolicy`]): LRU (hits refresh the
+//! entry — the default, since serving workloads skew toward a hot
+//! working set) or FIFO (insertion order, no bookkeeping on the hit
+//! path). Entries of a repository
 //! generation that died in a hot swap are reaped eagerly through
 //! [`evict_fingerprint`](OutcomeCache::evict_fingerprint); they were
 //! already unreachable (no live service presents the dead fingerprint)
@@ -57,14 +57,12 @@ pub struct CachedAnswer {
 /// Which entry a full [`OutcomeCache`] evicts to admit a new one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionPolicy {
-    /// Evict the oldest *insertion*: no bookkeeping on the hit path,
-    /// the right default for deterministic batch runs (and the
-    /// behaviour every pre-existing caller had).
-    #[default]
+    /// Evict the oldest *insertion*: no bookkeeping on the hit path.
     Fifo,
     /// Evict the least recently *used*: hits refresh the entry, so a
-    /// skewed repeat distribution keeps its hot set resident — the
-    /// `sctool serve` default.
+    /// skewed repeat distribution keeps its hot set resident. The
+    /// default of every constructor and of `sctool serve`.
+    #[default]
     Lru,
 }
 
@@ -149,10 +147,10 @@ pub struct OutcomeCache {
 }
 
 impl OutcomeCache {
-    /// Creates a FIFO cache bounded to `capacity` entries (`0` disables
-    /// it).
+    /// Creates a cache bounded to `capacity` entries under the default
+    /// [`EvictionPolicy`] (`0` disables it).
     pub fn new(capacity: usize) -> Self {
-        Self::with_policy(capacity, EvictionPolicy::Fifo)
+        Self::with_policy(capacity, EvictionPolicy::default())
     }
 
     /// Creates a cache bounded to `capacity` entries under the given
@@ -398,7 +396,7 @@ mod tests {
 
     #[test]
     fn fifo_eviction_keeps_the_bound() {
-        let cache = OutcomeCache::new(2);
+        let cache = OutcomeCache::with_policy(2, EvictionPolicy::Fifo);
         let evicted: Vec<usize> = (0..5u64)
             .map(|s| cache.insert(0, 0, 3, 2, &spec(s), answer(s as usize)))
             .collect();
@@ -414,7 +412,7 @@ mod tests {
 
     #[test]
     fn fifo_ignores_hits_when_evicting() {
-        let cache = OutcomeCache::new(2);
+        let cache = OutcomeCache::with_policy(2, EvictionPolicy::Fifo);
         cache.insert(0, 0, 3, 2, &spec(0), answer(0));
         cache.insert(0, 0, 3, 2, &spec(1), answer(1));
         // A hit on the oldest entry does not save it under FIFO.
@@ -426,7 +424,7 @@ mod tests {
 
     #[test]
     fn fifo_overwrite_keeps_the_original_insertion_age() {
-        let cache = OutcomeCache::new(2);
+        let cache = OutcomeCache::with_policy(2, EvictionPolicy::Fifo);
         cache.insert(0, 0, 3, 2, &spec(0), answer(0));
         cache.insert(0, 0, 3, 2, &spec(1), answer(1));
         // Re-inserting the oldest entry does not rejuvenate it under
@@ -440,8 +438,8 @@ mod tests {
 
     #[test]
     fn lru_hits_refresh_the_entry() {
-        let cache = OutcomeCache::with_policy(2, EvictionPolicy::Lru);
-        assert_eq!(cache.policy(), EvictionPolicy::Lru);
+        let cache = OutcomeCache::new(2);
+        assert_eq!(cache.policy(), EvictionPolicy::Lru, "the default");
         cache.insert(0, 0, 3, 2, &spec(0), answer(0));
         cache.insert(0, 0, 3, 2, &spec(1), answer(1));
         // Touch the older entry: the *other* one becomes the victim.

@@ -24,7 +24,7 @@
 //!
 //! | stage | module | job |
 //! |---|---|---|
-//! | 1 admission | `admission` | intake from the submission channel (queries, `!reload`), outcome-cache probe, coalesce-or-build disposition, the backlog (deferred queries, or a whole batch) admitted only at epoch boundaries |
+//! | 1 admission | `admission` | intake from the submission channel (queries, `!reload`), one disposition rule (cache hit, follower, fresh job, or deferred), the backlog (deferred queries, or a whole batch) admitted only at epoch boundaries |
 //! | 2 alignment | `alignment` | pass-indexed join planning: which queued query splices into which in-flight scan (pass-2 joins pass-2), the splice itself (ledger join + zero-copy replay), the admission window |
 //! | 3 execution | `execution` | the sharded work-stealing fan-out ([`sc_stream::ShardedPass`] through the scan's own [`sc_stream::FeedCursor`], one gate unit per absorbed shard; lanes run their scans concurrently and share only the gate; a batch is one lane), scan boundary included (the worker that absorbs a job's last shard runs its `end_scan`), with the lane thread as one of the workers draining arrivals between its claims (non-blocking accept) |
 //! | 4 retirement | `retirement` | outcome construction (tenant- and generation-tagged), cache fill + eviction accounting, reply fan-out to the query and its coalesced followers |
@@ -72,22 +72,24 @@
 //!   from (`gen=`), and the dead generation's outcome-cache entries
 //!   are reaped ([`OutcomeCache::evict_fingerprint`]) — per tenant,
 //!   leaving every other tenant's in-flight work untouched.
-//! * **In-flight query coalescing** — with
-//!   [`ServiceConfig::coalesce`], a query identical to a job already
-//!   in flight attaches to it as a follower instead of running: the
-//!   job's retirement fans one reply out per follower and populates
-//!   the cache once, so N identical concurrent clients cost one
-//!   query's CPU as well as one query's scans
-//!   ([`ServiceMetrics::coalesced`]; pinned by the `coalesce` test
-//!   suite and measured by experiment E19, `BENCH_coalesce.json`).
-//!   The cache takes precedence: a retired identical answer is served
-//!   in zero scans rather than waiting on the in-flight job.
+//! * **In-flight query coalescing** — always on: a query identical to
+//!   a job already in flight attaches to it as a follower instead of
+//!   running. The job's retirement fans one reply out per follower and
+//!   populates the cache once, so N identical concurrent clients cost
+//!   one query's CPU as well as one query's scans. A follower gets its
+//!   leader's outcome, which is exactly its own solo run's (the query
+//!   kinds are deterministic given their spec), so coalescing changes
+//!   only its timing ([`ServiceMetrics::coalesced`]; pinned by the
+//!   `coalesce` test suite and measured by experiment E19,
+//!   `BENCH_coalesce.json`). The cache takes precedence: a retired
+//!   identical answer is served in zero scans rather than waiting on
+//!   the in-flight job.
 //! * **The outcome cache** — repeat queries (same spec, same
 //!   repository fingerprint) are answered from [`OutcomeCache`] in
 //!   zero physical scans, with hit/miss/eviction counters in
-//!   [`ServiceMetrics`] and a pluggable [`EvictionPolicy`] (FIFO for
-//!   deterministic batches, LRU for serving workloads with a hot
-//!   repeat set — the `sctool serve` default); a cache shared across
+//!   [`ServiceMetrics`] and a pluggable [`EvictionPolicy`] (LRU by
+//!   default, for serving workloads with a hot repeat set; FIFO on
+//!   request); a cache shared across
 //!   services keeps repositories apart through the content
 //!   fingerprint in the key plus a per-hit dimension cross-check (see
 //!   [`OutcomeCache`] for the collision caveat).

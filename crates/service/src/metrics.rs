@@ -1,6 +1,5 @@
 //! Aggregate counters of one service run.
 
-use crate::cache::EvictionPolicy;
 use crate::tenants::{LedgerEvent, LedgerTotals};
 use sc_telemetry::HistogramSnapshot;
 use std::time::Duration;
@@ -50,16 +49,13 @@ pub struct ServiceMetrics {
     /// the `!reload` protocol line; ledger delta of
     /// [`LedgerEvent::Reload`]).
     pub reloads: usize,
-    /// Outcome-cache entries evicted during this run, all causes
-    /// (capacity bound under either policy, plus generation reaping):
-    /// `fifo_evictions + lru_evictions + reload_evictions`.
+    /// Outcome-cache entries evicted during this run, all causes:
+    /// `capacity_evictions + reload_evictions`.
     pub evictions: usize,
-    /// Capacity evictions under the FIFO policy (ledger delta of
-    /// [`LedgerEvent::CapacityEviction`] when the cache is FIFO).
-    pub fifo_evictions: usize,
-    /// Capacity evictions under the LRU policy (ledger delta of
-    /// [`LedgerEvent::CapacityEviction`] when the cache is LRU).
-    pub lru_evictions: usize,
+    /// Entries evicted by the cache's capacity bound, under whichever
+    /// [`EvictionPolicy`](crate::EvictionPolicy) the cache runs (ledger
+    /// delta of [`LedgerEvent::CapacityEviction`]).
+    pub capacity_evictions: usize,
     /// Entries reaped because their repository generation died in a
     /// hot swap ([`OutcomeCache::evict_fingerprint`](crate::OutcomeCache::evict_fingerprint);
     /// ledger delta of [`LedgerEvent::ReloadEviction`]).
@@ -72,10 +68,11 @@ pub struct ServiceMetrics {
     /// [`coalesced`](ServiceMetrics::coalesced), not here; ledger delta
     /// of [`LedgerEvent::CacheMiss`]).
     pub cache_misses: usize,
-    /// Queries that coalesced onto an identical in-flight job
-    /// ([`ServiceConfig::coalesce`](crate::ServiceConfig)): they ride
-    /// that job's scans and CPU, and its retirement fans one reply out
-    /// per follower (ledger delta of [`LedgerEvent::Coalesced`]).
+    /// Queries that coalesced onto an identical in-flight job instead
+    /// of running: they ride that job's scans and CPU, and its
+    /// retirement fans one reply out per follower, each carrying the
+    /// follower's own solo observables (ledger delta of
+    /// [`LedgerEvent::Coalesced`]).
     pub coalesced: usize,
     /// `(tenant, shard)` work units absorbed through the interleaved
     /// fan-out: every scan's `jobs × shards`, in serve and batch runs
@@ -109,8 +106,7 @@ impl ServiceMetrics {
         self.aligned_joins += other.aligned_joins;
         self.reloads += other.reloads;
         self.evictions += other.evictions;
-        self.fifo_evictions += other.fifo_evictions;
-        self.lru_evictions += other.lru_evictions;
+        self.capacity_evictions += other.capacity_evictions;
         self.reload_evictions += other.reload_evictions;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
@@ -123,27 +119,17 @@ impl ServiceMetrics {
     }
 
     /// Sets the query counts to the ledger's growth from `before` to
-    /// `after`; capacity evictions are attributed to the cache's
-    /// `policy`.
-    pub(crate) fn count_ledger(
-        &mut self,
-        before: &LedgerTotals,
-        after: &LedgerTotals,
-        policy: EvictionPolicy,
-    ) {
+    /// `after`.
+    pub(crate) fn count_ledger(&mut self, before: &LedgerTotals, after: &LedgerTotals) {
         let grew = |e: LedgerEvent| (after[e as usize] - before[e as usize]) as usize;
-        let capacity = grew(LedgerEvent::CapacityEviction);
         self.queries_completed = grew(LedgerEvent::Completed);
         self.jobs = grew(LedgerEvent::Job);
         self.mid_stream_admissions = grew(LedgerEvent::MidStreamAdmission);
         self.aligned_joins = grew(LedgerEvent::AlignedJoin);
         self.reloads = grew(LedgerEvent::Reload);
+        self.capacity_evictions = grew(LedgerEvent::CapacityEviction);
         self.reload_evictions = grew(LedgerEvent::ReloadEviction);
-        self.evictions = capacity + self.reload_evictions;
-        (self.fifo_evictions, self.lru_evictions) = match policy {
-            EvictionPolicy::Fifo => (capacity, 0),
-            EvictionPolicy::Lru => (0, capacity),
-        };
+        self.evictions = self.capacity_evictions + self.reload_evictions;
         self.cache_hits = grew(LedgerEvent::CacheHit);
         self.cache_misses = grew(LedgerEvent::CacheMiss);
         self.coalesced = grew(LedgerEvent::Coalesced);
@@ -196,9 +182,9 @@ mod tests {
         after[LedgerEvent::ReloadEviction as usize] = 1;
         after[LedgerEvent::GuessReplay as usize] = 6;
         let mut m = ServiceMetrics::default();
-        m.count_ledger(&before, &after, EvictionPolicy::Lru);
+        m.count_ledger(&before, &after);
         assert_eq!(m.queries_completed, 3);
-        assert_eq!((m.evictions, m.lru_evictions, m.fifo_evictions), (3, 2, 0));
+        assert_eq!((m.evictions, m.capacity_evictions), (3, 2));
         assert_eq!(m.reload_evictions, 1);
         assert_eq!(m.guess_replays, 6);
     }

@@ -202,11 +202,11 @@ pub struct QueryOutcome {
     /// stored solo values of the run that populated the entry).
     pub cached: bool,
     /// `true` when this query coalesced onto an identical in-flight
-    /// job instead of running as its own
-    /// ([`ServiceConfig::coalesce`](crate::ServiceConfig)): the cover,
-    /// pass, and space observables mirror that job's — bit-identical
-    /// to a solo run by determinism — and `epochs_joined` reports the
-    /// job's epoch count.
+    /// job instead of running as its own (the service always does
+    /// that for a cache miss with an in-flight twin): the cover, pass,
+    /// and space observables are that job's, which by determinism are
+    /// exactly this query's own solo run's; `epochs_joined` reports
+    /// the job's epoch count, and the id and timing are this query's.
     pub coalesced: bool,
     /// The repository generation this query was answered from
     /// ([`RepositoryGeneration::id`](crate::RepositoryGeneration::id)

@@ -35,10 +35,6 @@ impl Service {
                 continue;
             }
             let fl = inflight.remove(i);
-            debug_assert!(
-                self.config().coalesce || fl.followers.is_empty(),
-                "followers can only attach when coalescing is enabled"
-            );
             let result = fl.job.finish();
             let mut covered = BitSet::new(gen.system.universe());
             for &id in &result.cover {

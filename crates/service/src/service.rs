@@ -9,7 +9,7 @@
 //! [`FairGate`](crate::fairness::FairGate) arbitrating `(tenant,
 //! shard)` work units across lanes.
 
-use crate::admission::{Admitted, Intake, QuerySubmission, ReloadRequest, ReplyTx, Submission};
+use crate::admission::{Disposition, Intake, QuerySubmission, ReloadRequest, ReplyTx, Submission};
 use crate::alignment::{self, EpochState};
 use crate::cache::{EvictionPolicy, OutcomeCache};
 use crate::execution;
@@ -48,9 +48,8 @@ pub struct ServiceConfig {
     /// Ignored when [`ServiceBuilder::shared_cache`] supplies the
     /// cache, which brings its own capacity.
     pub cache_capacity: usize,
-    /// Eviction policy of the private cache the builder creates (FIFO
-    /// by default — zero bookkeeping on the hit path; `sctool serve`
-    /// defaults to LRU). Ignored with
+    /// Eviction policy of the private cache the builder creates
+    /// ([`EvictionPolicy::default`], LRU). Ignored with
     /// [`ServiceBuilder::shared_cache`].
     pub eviction: EvictionPolicy,
     /// How long the scheduler holds the *first* scan of a fresh epoch
@@ -75,18 +74,6 @@ pub struct ServiceConfig {
     /// per-claim bookkeeping. The observables are unaffected either
     /// way — every job sees every shard in repository order.
     pub shard_size: usize,
-    /// Collapse identical in-flight queries into one job: a query
-    /// whose spec matches a job already inside the scan epochs (and
-    /// misses the outcome cache) attaches to that job as a *follower*
-    /// instead of running — the job's retirement fans a reply out per
-    /// follower and populates the cache once, so N identical
-    /// concurrent clients cost one query's CPU as well as one query's
-    /// scans. Off by default: coalescing changes the timing metrics
-    /// (`epochs_joined`, queue waits) of duplicate queries, and the
-    /// uncoalesced path is the baseline experiments E17/E18 pin.
-    /// Covers, logical passes, and space peaks are bit-identical
-    /// either way (the queries are deterministic given their spec).
-    pub coalesce: bool,
 }
 
 impl Default for ServiceConfig {
@@ -99,10 +86,9 @@ impl Default for ServiceConfig {
                 .min(8),
             queue_depth: 256,
             cache_capacity: 256,
-            eviction: EvictionPolicy::Fifo,
+            eviction: EvictionPolicy::default(),
             admission_window: Duration::ZERO,
             shard_size: 256,
-            coalesce: false,
         }
     }
 }
@@ -376,6 +362,13 @@ impl ServiceHandle {
 /// `!reload` swaps the repository mid-load with in-flight queries
 /// draining on their original generation.
 ///
+/// A query identical to a job already in flight never runs again: it
+/// *coalesces*, attaching to that job as a follower, and the job's
+/// retirement fans one reply out per follower and fills the cache
+/// once. The query kinds are deterministic given their spec, so a
+/// follower's cover, logical passes and space peak are exactly its own
+/// solo run's; only its id and timing are its own.
+///
 /// # Examples
 ///
 /// ```
@@ -384,18 +377,25 @@ impl ServiceHandle {
 ///
 /// let inst = gen::planted(256, 512, 8, 7);
 /// let service = ServiceBuilder::new().tenant("corpus", inst.system).build();
-/// let specs = vec![QuerySpec::IterCover { delta: 0.5, seed: 1 }; 8];
+/// let specs: Vec<_> = (0..8)
+///     .map(|seed| QuerySpec::IterCover { delta: 0.5, seed })
+///     .collect();
 /// let (outcomes, metrics) = service.run_batch(&specs);
 /// assert!(outcomes.iter().all(|o| o.goal_met()));
-/// // Eight identical queries rode the same physical scans.
-/// assert_eq!(metrics.physical_scans, outcomes[0].logical_passes);
+/// // Eight distinct queries rode shared physical scans: the batch
+/// // costs its longest query's passes, not their sum.
+/// let longest = outcomes.iter().map(|o| o.logical_passes).max();
+/// assert_eq!(Some(metrics.physical_scans), longest);
+/// // Eight copies of one new query run as one job.
+/// let copy = QuerySpec::IterCover { delta: 0.5, seed: 99 };
+/// let (_, metrics) = service.run_batch(&[copy; 8]);
+/// assert_eq!((metrics.jobs, metrics.coalesced), (1, 7));
 /// ```
 #[derive(Debug)]
 pub struct Service {
     registry: Arc<TenantRegistry>,
     cfg: ServiceConfig,
     cache: Arc<OutcomeCache>,
-    quantum: u64,
 }
 
 /// Builds a [`Service`]: the tenants it hosts (each a named
@@ -418,8 +418,7 @@ pub struct Service {
 /// let service = ServiceBuilder::new()
 ///     .tenant("wiki", gen::planted(128, 256, 8, 3).system)
 ///     .tenant_with_quota("logs", gen::planted(128, 256, 8, 4).system, 8)
-///     .eviction(EvictionPolicy::Lru)
-///     .coalesce(true)
+///     .eviction(EvictionPolicy::Fifo)
 ///     .build();
 /// let ((), _metrics) = service.serve(|handle| {
 ///     let logs = handle.with_tenant("logs").expect("tenant exists");
@@ -430,7 +429,6 @@ pub struct Service {
 #[derive(Debug)]
 pub struct ServiceBuilder {
     cfg: ServiceConfig,
-    quantum: Option<u64>,
     cache: Option<Arc<OutcomeCache>>,
     tenants: Vec<(String, SetSystem, Option<usize>)>,
 }
@@ -448,7 +446,6 @@ impl ServiceBuilder {
     pub fn new() -> Self {
         Self {
             cfg: ServiceConfig::default(),
-            quantum: None,
             cache: None,
             tenants: Vec::new(),
         }
@@ -544,23 +541,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets [`ServiceConfig::coalesce`].
-    #[must_use]
-    pub fn coalesce(mut self, on: bool) -> Self {
-        self.cfg.coalesce = on;
-        self
-    }
-
-    /// Sets the fairness quantum: the lane's burst of `(tenant, shard)`
-    /// units per arbitration turn of the gate (default `workers`: one
-    /// turn refills the machine's worker budget). See the `fairness`
-    /// module.
-    #[must_use]
-    pub fn quantum(mut self, q: u64) -> Self {
-        self.quantum = Some(q);
-        self
-    }
-
     /// Supplies a shared outcome cache instead of the private one the
     /// builder would create — several services can point at the same
     /// [`OutcomeCache`]; the (tenant, fingerprint) pair in the cache
@@ -604,7 +584,6 @@ impl ServiceBuilder {
             registry: TenantRegistry::build(tenants),
             cfg,
             cache,
-            quantum: self.quantum.unwrap_or(cfg.workers as u64),
         }
     }
 }
@@ -685,10 +664,9 @@ impl Service {
     /// (`Intake::prefilled`): every query is submitted at the call's
     /// start (so latency counts from there) and admitted at an epoch
     /// boundary, up to `max_inflight` at a time; repeats of an
-    /// already-retired spec are answered from the cache, and — with
-    /// [`ServiceConfig::coalesce`] — repeats of an *in-flight* spec
-    /// attach to its job, neither occupying a slot. Outcomes come back
-    /// in submission order.
+    /// already-retired spec are answered from the cache and repeats of
+    /// an *in-flight* spec attach to its job, neither occupying a slot.
+    /// Outcomes come back in submission order.
     ///
     /// The metrics' query counts are the growth of the default tenant's
     /// ledger across the call, so they are exact only while no other
@@ -715,7 +693,7 @@ impl Service {
             .unzip();
         // One lane on a one-lane gate: the gate's solo fast path skips
         // arbitration.
-        let gate = FairGate::new(1, self.quantum, self.cfg.workers as u64);
+        let gate = self.gate(1);
         let metrics = self.lane_scheduler(0, Intake::prefilled(batch), &gate);
         let outcomes = replies
             .into_iter()
@@ -773,7 +751,7 @@ impl Service {
             registry: Arc::clone(&self.registry),
             wake: None,
         };
-        let gate = &FairGate::new(lanes, self.quantum, self.cfg.workers as u64);
+        let gate = &self.gate(lanes);
         std::thread::scope(|s| {
             let lanes: Vec<_> = inboxes
                 .into_iter()
@@ -787,6 +765,14 @@ impl Service {
             }
             (r, metrics)
         })
+    }
+
+    /// The fairness gate over `lanes` tenant lanes. Its quantum is
+    /// `workers`: one arbitration turn refills the machine's worker
+    /// budget.
+    fn gate(&self, lanes: usize) -> FairGate {
+        let workers = self.cfg.workers as u64;
+        FairGate::new(lanes, workers, workers)
     }
 
     /// One tenant's scheduler lane: an outer loop over that tenant's
@@ -821,7 +807,7 @@ impl Service {
                 None => break,
             }
         }
-        metrics.count_ledger(&before, &counters.totals(), self.cache.policy());
+        metrics.count_ledger(&before, &counters.totals());
         metrics.physical_scans = physical;
         metrics.elapsed = start.elapsed();
         metrics
@@ -847,8 +833,9 @@ impl Service {
         let mut state = EpochState::new();
         loop {
             // Stage 1 — admission at the epoch boundary. Block only
-            // when idle; past a full window, still dispose of cache
-            // hits and coalescible duplicates (they need no slot).
+            // when idle; past a full window, cache hits and duplicates
+            // of an in-flight job are still disposed of (they need no
+            // slot).
             let fresh_group = state.inflight.is_empty();
             if fresh_group {
                 state.group_pass = 0;
@@ -867,40 +854,33 @@ impl Service {
                 if admission_t0.is_none() && sc_telemetry::enabled() {
                     admission_t0 = Some(Instant::now());
                 }
-                if state.inflight.len() >= gen.tenant.quota() {
-                    match self.dispose_past_full_window(
-                        gen,
-                        sub,
-                        &mut state.inflight,
-                        metrics,
-                        Instant::now(),
-                    ) {
-                        Ok(_) => continue,
-                        Err(sub) => {
-                            // A fresh job with no slot: defer it (order
-                            // preserved — the backlog is consumed
-                            // first).
-                            intake.backlog.push_front(sub);
-                            break;
-                        }
-                    }
-                }
-                if let Admitted::Job(fl) = self.admit_or_answer(
+                let room = state.inflight.len() < gen.tenant.quota();
+                match self.dispose(
                     gen,
                     sub,
                     &root,
                     &mut state.inflight,
-                    metrics,
+                    room,
                     Instant::now(),
+                    metrics,
                 ) {
-                    sc_telemetry::event(
-                        EventKind::Admitted,
-                        fl.id,
-                        gen.id,
-                        ledger.physical_scans() as u64,
-                        state.group_pass as u32,
-                    );
-                    state.inflight.push(fl);
+                    Disposition::Answered | Disposition::Coalesced => {}
+                    Disposition::Job(fl) => {
+                        sc_telemetry::event(
+                            EventKind::Admitted,
+                            fl.id,
+                            gen.id,
+                            ledger.physical_scans() as u64,
+                            state.group_pass as u32,
+                        );
+                        state.inflight.push(fl);
+                    }
+                    Disposition::Deferred(sub) => {
+                        // A fresh job with no slot: defer it (order
+                        // preserved — the backlog is consumed first).
+                        intake.backlog.push_front(sub);
+                        break;
+                    }
                 }
             }
             if let Some(t0) = admission_t0 {

@@ -16,13 +16,6 @@ fn iter(seed: u64) -> QuerySpec {
     QuerySpec::IterCover { delta: 0.5, seed }
 }
 
-fn coalescing() -> ServiceConfig {
-    ServiceConfig {
-        coalesce: true,
-        ..Default::default()
-    }
-}
-
 #[test]
 fn k_identical_inflight_queries_run_as_one_job() {
     let inst = gen::planted(512, 1024, 16, 11);
@@ -35,7 +28,6 @@ fn k_identical_inflight_queries_run_as_one_job() {
 
     let k = 8;
     let service = ServiceBuilder::new()
-        .config(coalescing())
         .tenant("default", inst.system.clone())
         .build();
     let (outcomes, metrics) = service.run_batch(&vec![iter(7); k]);
@@ -73,7 +65,6 @@ fn k_identical_inflight_queries_run_as_one_job() {
 fn distinct_specs_coalesce_per_group() {
     let inst = gen::planted(256, 512, 8, 5);
     let service = ServiceBuilder::new()
-        .config(coalescing())
         .tenant("default", inst.system.clone())
         .build();
     // 3 groups × 4 duplicates, interleaved the way concurrent clients
@@ -107,7 +98,6 @@ fn mid_stream_identical_joiner_coalesces_never_double_runs() {
 
     let service = ServiceBuilder::new()
         .config(ServiceConfig {
-            coalesce: true,
             // Hold the head's first scan open so the duplicate below
             // arrives while the head's job is in flight.
             admission_window: Duration::from_secs(30),
@@ -143,7 +133,6 @@ fn cache_hit_takes_precedence_over_coalescing() {
     let inst = gen::planted(256, 512, 8, 3);
     let cache = Arc::new(OutcomeCache::new(16));
     let service = ServiceBuilder::new()
-        .config(coalescing())
         .shared_cache(cache.clone())
         .tenant("default", inst.system.clone())
         .build();
@@ -178,7 +167,6 @@ fn shared_cache_answer_beats_an_inflight_identical_job() {
     let cache = Arc::new(OutcomeCache::new(16));
     let service = ServiceBuilder::new()
         .config(ServiceConfig {
-            coalesce: true,
             // Keep the head's first scan open so the job is still in
             // flight when the duplicate arrives. A cache hit does not
             // close the window (only joiners and followers do), so the
@@ -231,10 +219,10 @@ fn shared_cache_answer_beats_an_inflight_identical_job() {
 }
 
 #[test]
-fn coalescing_is_off_by_default() {
+fn a_default_config_service_coalesces() {
     let inst = gen::planted(256, 512, 8, 5);
-    // Cache off so repeats cannot be answered that way either: every
-    // copy must run as its own job, exactly the pre-coalescing path.
+    // Cache off so the copies cannot be answered that way: the three
+    // followers can only have ridden the one job.
     let service = ServiceBuilder::new()
         .config(ServiceConfig {
             cache_capacity: 0,
@@ -243,11 +231,17 @@ fn coalescing_is_off_by_default() {
         .tenant("default", inst.system.clone())
         .build();
     let (outcomes, metrics) = service.run_batch(&[iter(1); 4]);
-    assert_eq!(metrics.jobs, 4);
-    assert_eq!(metrics.coalesced, 0);
-    assert!(outcomes.iter().all(|o| !o.coalesced));
-    // Scan sharing (not coalescing) still makes the group cheap.
+    assert_eq!((metrics.jobs, metrics.coalesced), (1, 3));
+    let flagged: Vec<bool> = outcomes.iter().map(|o| o.coalesced).collect();
+    assert_eq!(flagged, [false, true, true, true]);
+    assert!(outcomes.iter().all(|o| o.cover == outcomes[0].cover));
     assert_eq!(metrics.physical_scans, outcomes[0].logical_passes);
+    // The builder's own defaults coalesce too.
+    let service = ServiceBuilder::new()
+        .tenant("default", inst.system.clone())
+        .build();
+    let (_, metrics) = service.run_batch(&[iter(2); 4]);
+    assert_eq!((metrics.jobs, metrics.coalesced), (1, 3));
 }
 
 #[test]
@@ -261,7 +255,6 @@ fn telemetry_ledger_reconciles_with_coalescing_metrics() {
 
     let inst = gen::planted(256, 512, 8, 5);
     let service = ServiceBuilder::new()
-        .config(coalescing())
         .tenant("default", inst.system.clone())
         .build();
     let specs: Vec<QuerySpec> = (0..12u64).map(|i| iter(i % 3)).collect();
@@ -303,7 +296,6 @@ fn followers_beyond_max_inflight_do_not_occupy_slots() {
     let service = ServiceBuilder::new()
         .config(ServiceConfig {
             max_inflight: 2,
-            coalesce: true,
             cache_capacity: 0,
             ..Default::default()
         })

@@ -245,7 +245,7 @@ fn reloading_identical_content_keeps_the_cache_warm() {
 }
 
 /// Every count a run reports, plus its physical scans.
-fn counts(m: &ServiceMetrics) -> [usize; 14] {
+fn counts(m: &ServiceMetrics) -> [usize; 13] {
     [
         m.queries_completed,
         m.jobs,
@@ -257,8 +257,7 @@ fn counts(m: &ServiceMetrics) -> [usize; 14] {
         m.shard_grants,
         m.reloads,
         m.evictions,
-        m.fifo_evictions,
-        m.lru_evictions,
+        m.capacity_evictions,
         m.reload_evictions,
         m.physical_scans,
     ]
@@ -269,12 +268,11 @@ fn each_run_reports_only_its_own_share_of_the_ledger() {
     let repo1 = gen::planted(256, 512, 8, 5);
     let repo2 = gen::planted(256, 512, 8, 6);
     let repo3 = gen::planted(256, 512, 8, 7);
-    // One slot with coalescing on: a duplicate behind the leader
+    // One slot: a duplicate behind the leader
     // follows it, and a duplicate behind a different job waits for a
     // slot and then hits the leader's cached answer.
     let cfg = ServiceConfig {
         max_inflight: 1,
-        coalesce: true,
         ..Default::default()
     };
     let build = |system: &SetSystem, cache: Option<OutcomeCache>| {

@@ -47,22 +47,25 @@ fn later_waves_of_a_batch_hit_the_cache() {
         })
         .tenant("default", inst.system.clone())
         .build();
-    // Wave 1 (two slots) runs and retires, populating the cache; the
-    // remaining four repeats are answered without occupying a slot.
-    let (outcomes, metrics) = service.run_batch(&[spec(3); 6]);
-    assert_eq!(metrics.cache_misses, 2);
-    assert_eq!(metrics.cache_hits, 4);
+    // Wave 1 fills both slots with two distinct specs, so the third
+    // spec finds neither a slot nor an identical in-flight leader and
+    // defers the rest of the batch. By the time the repeats behind it
+    // are disposed of, their originals have retired: all three are
+    // answered from the cache instead of coalescing.
+    let specs = [spec(3), spec(4), spec(5), spec(3), spec(4), spec(3)];
+    let (outcomes, metrics) = service.run_batch(&specs);
+    assert_eq!(metrics.cache_misses, 3);
+    assert_eq!(metrics.cache_hits, 3);
+    assert_eq!(metrics.coalesced, 0);
     assert_eq!(metrics.queries_completed, 6);
-    assert_eq!(
-        metrics.physical_scans, outcomes[0].logical_passes,
-        "only wave 1 scanned"
-    );
-    for o in &outcomes {
-        assert_eq!(o.cover, outcomes[0].cover);
-        assert_eq!(o.logical_passes, outcomes[0].logical_passes);
-        assert_eq!(o.space_words, outcomes[0].space_words);
+    for o in &outcomes[3..] {
+        let original = &outcomes[specs.iter().position(|s| *s == o.spec).unwrap()];
+        assert!(o.cached);
+        assert_eq!(o.cover, original.cover);
+        assert_eq!(o.logical_passes, original.logical_passes);
+        assert_eq!(o.space_words, original.space_words);
     }
-    assert!(outcomes[2..].iter().all(|o| o.cached));
+    assert!(outcomes[..3].iter().all(|o| !o.cached));
 }
 
 #[test]

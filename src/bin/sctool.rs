@@ -52,14 +52,14 @@ const USAGE: &str = "usage:
   sctool exact <file> [--budget NODES]
   sctool certify <file>
   sctool convert <in> <out>              (format chosen by .scb extension)
-  sctool serve <file> [--repo NAME=PATH]... [--quota NAME=N]... [--quantum N] [--listen HOST:PORT] [--max-conns N] [--shed DEPTH] [--inflight N] [--workers N] [--cache N] [--eviction fifo|lru] [--window MS] [--shard SETS] [--coalesce] [--stats-interval SECS] [--no-telemetry]
+  sctool serve <file> [--repo NAME=PATH]... [--quota NAME=N]... [--listen HOST:PORT] [--max-conns N] [--shed DEPTH] [--inflight N] [--workers N] [--cache N] [--eviction fifo|lru] [--window MS] [--shard SETS] [--stats-interval SECS] [--no-telemetry]
   sctool client --connect HOST:PORT [--repo NAME] [--wait-ready SECS] [--queries N] [--concurrency C] [--spec QUERY] [--duplicates K] [--allow-busy] [--stats] [--shutdown]
   sctool geomgen <discs|rects|triangles|clustered|grid|twoline> [--n N] [--m M] [--k K] [--half H] [--seed SEED]
   sctool geomsolve <file> [--delta D] [--no-canonical] [--bg]
 
 files: text format everywhere; SCB1 binary is sniffed by magic; use - for stdin (either format)
 serve protocol: one query per line — 'iter [delta=D] [seed=S]', 'partial [eps=E] [delta=D] [seed=S]', 'greedy', each optionally carrying 'repo=NAME' to address a named repository; also ping/quit/shutdown, '!use NAME' (retarget the connection at a named repository), '!repos' (list served repositories with generation/fingerprint/quota/counters), '!reload [NAME] PATH' (hot-swap a repository — the bare form swaps the connection's current one; in-flight queries drain on their generation), and the live telemetry verbs '!stats' (one-line counters + stage percentiles), '!metrics' (Prometheus-style listing), '!trace ID' (one query's journal timeline); responses come back in request order
-serve tenants: the positional <file> is the repository named 'default'; each --repo NAME=PATH adds another; --quota NAME=N caps one repository's inflight slots; --quantum N tunes the cross-tenant fairness gate, which meters every tenant's scan work shard by shard
+serve tenants: the positional <file> is the repository named 'default'; each --repo NAME=PATH adds another; --quota NAME=N caps one repository's inflight slots; a cross-tenant fairness gate meters every tenant's scan work shard by shard; an identical query already in flight is never run twice (it rides that job)
 serve overload: one event-driven thread multiplexes every connection; past --max-conns new connections get 'err msg=busy' and close, a query landing on a full submission queue answers 'err msg=busy' in-line, a request line past the per-session buffer cap answers 'err msg=line_too_long', and --shed DEPTH bounds each session's pipelined replies (beyond it the socket stalls in TCP backpressure); 'sctool client --allow-busy' counts busy answers instead of failing";
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -414,7 +414,6 @@ fn check_serve_flags(args: &[String]) -> Result<(), String> {
     const VALUE_FLAGS: &[&str] = &[
         "--repo",
         "--quota",
-        "--quantum",
         "--listen",
         "--max-conns",
         "--shed",
@@ -426,7 +425,7 @@ fn check_serve_flags(args: &[String]) -> Result<(), String> {
         "--shard",
         "--stats-interval",
     ];
-    const SWITCHES: &[&str] = &["--coalesce", "--no-telemetry"];
+    const SWITCHES: &[&str] = &["--no-telemetry"];
     let mut rest = args.iter().skip(1);
     while let Some(arg) = rest.next() {
         if VALUE_FLAGS.contains(&arg.as_str()) {
@@ -474,24 +473,14 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         .max_inflight(flag_or(args, "--inflight", defaults.max_inflight)?.max(1))
         .workers(flag_or(args, "--workers", defaults.workers)?.max(1))
         .cache_capacity(flag_or(args, "--cache", defaults.cache_capacity)?)
-        // Serving workloads skew toward a hot repeat set, so the CLI
-        // default is LRU (the library default stays FIFO for
-        // deterministic batch runs).
-        .eviction(
-            EvictionPolicy::parse(&flag(args, "--eviction").unwrap_or_else(|| "lru".into()))
-                .map_err(|e| format!("--eviction: {e}"))?,
-        )
+        .eviction(match flag(args, "--eviction") {
+            Some(p) => EvictionPolicy::parse(&p).map_err(|e| format!("--eviction: {e}"))?,
+            None => defaults.eviction,
+        })
         .admission_window(std::time::Duration::from_millis(flag_or(
             args, "--window", 0u64,
         )?))
-        .shard_size(flag_or(args, "--shard", defaults.shard_size)?.max(1))
-        .coalesce(args.iter().any(|a| a == "--coalesce"));
-    if let Some(q) = flag(args, "--quantum") {
-        let q: u64 = q
-            .parse()
-            .map_err(|_| format!("bad value for --quantum: {q:?}"))?;
-        builder = builder.quantum(q.max(1));
-    }
+        .shard_size(flag_or(args, "--shard", defaults.shard_size)?.max(1));
     // The positional instance is the repository named "default" — the
     // one unaddressed queries and single-tenant clients land on. Each
     // `--repo NAME=PATH` mounts another named repository beside it.
@@ -605,7 +594,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
             "sctool serve: {} reloads, {} cache evictions ({} capacity, {} dead-generation)",
             metrics.reloads,
             metrics.evictions,
-            metrics.fifo_evictions + metrics.lru_evictions,
+            metrics.capacity_evictions,
             metrics.reload_evictions,
         );
     }

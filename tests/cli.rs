@@ -254,6 +254,35 @@ fn serve_rejects_unknown_flags_without_serving() {
 }
 
 #[test]
+fn serve_rejects_the_removed_coalesce_and_quantum_flags() {
+    let generated = stdout(&run(&[
+        "gen", "planted", "--n", "64", "--m", "128", "--k", "4", "--seed", "3",
+    ]));
+    let dir = std::env::temp_dir().join(format!("sctool-serve-knobs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sc = dir.join("inst.sc");
+    std::fs::write(&sc, &generated).unwrap();
+    // Coalescing is always on and the fairness quantum is fixed, so
+    // both old knobs are unknown flags now.
+    for args in [&["--coalesce"][..], &["--quantum", "2"]] {
+        let mut argv = vec!["serve", sc.to_str().unwrap()];
+        argv.extend_from_slice(args);
+        let out = run(&argv);
+        assert_ne!(out.status.code(), Some(0), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag \"{}\"", args[0])),
+            "{err}"
+        );
+        assert!(
+            !err.contains("sctool serve:"),
+            "{args:?}: served anyway: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn serve_tcp_round_trip_with_client_and_clean_shutdown() {
     use std::io::BufRead;
     use std::process::Stdio;
